@@ -3,16 +3,25 @@ largest-critical-set search at small orders.
 
 A partial square is critical when it is uniquely completable and no
 proper subset is.  Removing entries can only enlarge the completion set,
-so minimality needs only single-entry removals, and unique
-completability propagates from subsets to supersets.  Both facts drive
-the subset-scan pruning below.
+so minimality needs only single-entry removals.
+
+Exhaustive search rests on trades.  The completions of a set S inside a
+square L are the squares L' that agree with L on S, so S is uniquely
+completable exactly when it meets the difference L minus L' for every
+other square L' of the same order.  The inclusion-minimal differences
+are the minimal Latin trades in L, and the critical sets of L are
+exactly the minimal transversals of that trade hypergraph (Keedwell
+2004).  Listing every square of order n gives the trades directly, and
+MMCS (Murakami & Uno 2014) lists the transversals without calling the
+solver.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import permutations
+from typing import Iterator, NamedTuple
 
 from .core import LatinSquare, PartialLatinSquare, Triple, remove_entry
 from .enumeration import iter_reduced
@@ -23,7 +32,8 @@ from .solver import NotUniqueError, _count_flat, count_completions
 KNOWN_LCS = {1: 0, 2: 1, 3: 3, 4: 7, 5: 11, 6: 18}
 KNOWN_LCS_LOWER_BOUNDS = {7: 25, 8: 37, 9: 44, 10: 57}
 
-# Exhaustive subset scans are 2^(n^2) per square; order 5 is opt-in and slow.
+# Exhaustive search lists all L(n) squares: 576 at order 4, 161,280 at
+# order 5, which is opt-in.
 EXHAUSTIVE_MAX_ORDER = 4
 EXHAUSTIVE_OPT_IN_ORDER = 5
 
@@ -140,57 +150,72 @@ def minimize_uc(
     return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
 
 
-def _scan_subsets(l: LatinSquare) -> tuple[int, tuple[Triple, ...]]:
-    """Exhaustive scan of all subsets of l's triples.  Returns the maximum
-    critical size and the first maximum-size witness in triple order.
+def _check_exhaustive_order(n: int, allow_large: bool):
+    limit = EXHAUSTIVE_OPT_IN_ORDER if allow_large else EXHAUSTIVE_MAX_ORDER
+    if not 1 <= n <= limit:
+        hint = "" if allow_large else " (allow_large=True permits order 5)"
+        raise ValueError(f"exhaustive search supports orders 1..{limit}, got {n}{hint}")
 
-    Masks are visited in increasing numeric order, so every subset of a
-    mask is visited first; a mask whose single-entry submask is already
-    uniquely completable inherits that status without a solver call (and
-    cannot be critical), which prunes the bulk of the work.
-    """
-    n = l.order
+
+def _all_squares(n: int) -> list[bytes]:
+    """Every square of order n exactly once, as flat row-major bytes:
+    each reduced square with its columns in every order and its rows
+    below the first in every order."""
+    squares = []
+    for reduced in iter_reduced(n):
+        for cols in permutations(range(n)):
+            for rows in permutations(range(1, n)):
+                squares.append(bytes(reduced.grid[r][c] for r in (0, *rows) for c in cols))
+    return squares
+
+
+def _critical_sets(l: LatinSquare, squares: list) -> Iterator[tuple[Triple, ...]]:
+    """Critical sets of l as row-major triples: the minimal transversals
+    of l's minimal trades (cell bitmasks, bit r*n + c), listed by MMCS."""
+    cells = [v for row in l.grid for v in row]
+    diffs = {sum(1 << i for i, (a, b) in enumerate(zip(cells, s)) if a != b) for s in squares}
+    trades = []
+    for d in sorted(diffs - {0}, key=int.bit_count):
+        if all(t & d != t for t in trades):
+            trades.append(d)
+    meets = [sum(1 << k for k, t in enumerate(trades) if t >> i & 1) for i in range(len(cells))]
+
+    def mmcs(chosen: int, crit: dict, uncovered: int, cand: int) -> Iterator[int]:
+        # crit: per chosen cell, the trades it alone meets (never empty).
+        # cand: cells still allowed; a branch's cells are held back and
+        # released one by one, so each transversal is listed once.
+        if not uncovered:
+            yield chosen
+            return
+        open_trades = (trades[k] for k in range(len(trades)) if uncovered >> k & 1)
+        branch = min((t & cand for t in open_trades), key=int.bit_count)
+        cand &= ~branch
+        for i in range(len(cells)):
+            if branch >> i & 1:
+                kept = {j: c & ~meets[i] for j, c in crit.items()}
+                if all(kept.values()):
+                    kept[i] = meets[i] & uncovered
+                    yield from mmcs(chosen | 1 << i, kept, uncovered & ~meets[i], cand)
+                cand |= 1 << i
+
     triples = l.triples()
-    m = len(triples)
-    positions = [(t.row - 1) * n + (t.col - 1) for t in triples]
-    uc = bytearray(1 << m)
-    best_size = -1
-    best_triples: tuple[Triple, ...] = ()
-    for mask in range(1 << m):
-        inherited = False
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            if uc[mask ^ bit]:
-                inherited = True
-                break
-        if inherited:
-            uc[mask] = 1
-            continue
-        cells = [0] * (n * n)
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            k = bit.bit_length() - 1
-            cells[positions[k]] = triples[k].sym
-        count, _ = _count_flat(n, cells, 2)
-        if count != 1:
-            continue
-        uc[mask] = 1
-        # solver ran means no single-entry submask was UC: mask is critical
-        size = mask.bit_count()
-        if size > best_size:
-            best_size = size
-            best_triples = tuple(
-                triples[k] for k in range(m) if mask >> k & 1
-            )
-        elif size == best_size:
-            cand = tuple(triples[k] for k in range(m) if mask >> k & 1)
-            if cand < best_triples:
-                best_triples = cand
-    return best_size, best_triples
+    for mask in mmcs(0, {}, (1 << len(trades)) - 1, (1 << len(cells)) - 1):
+        # from a list: tuple() of a generator resizes, so freed tuples of
+        # each size pile up unused in the interpreter's free lists
+        yield tuple([t for i, t in enumerate(triples) if mask >> i & 1])
+
+
+def _largest_first(c: tuple[Triple, ...]):
+    """Witness order: larger sets first, then smaller triple tuples."""
+    return -len(c), c
+
+
+def critical_sets(l: LatinSquare, allow_large: bool = False) -> list[PartialLatinSquare]:
+    """Every critical set inside l, each once; order limits as for
+    exhaustive search."""
+    _check_exhaustive_order(l.order, allow_large)
+    squares = _all_squares(l.order)
+    return [PartialLatinSquare.from_triples(l.order, c) for c in _critical_sets(l, squares)]
 
 
 def largest_critical_in(
@@ -202,19 +227,17 @@ def largest_critical_in(
 ) -> LargestCritical:
     """Largest critical set inside one square.
 
-    Exhaustive mode scans all subsets of the n^2 entries (order <= 4
-    enforced, 5 opt-in via allow_large).  Heuristic mode takes the best
-    of `starts` seeded random-order minimizations of the full square and
-    returns a lower bound (exact=False).
+    Exhaustive mode lists the critical sets of l as the minimal
+    transversals of its minimal Latin trades (order <= 4 enforced, 5
+    opt-in via allow_large) and returns a largest one, ties broken by the
+    smallest triple tuple.  Heuristic mode takes the best of `starts`
+    seeded random-order minimizations of the full square and returns a
+    lower bound (exact=False).
     """
     if exhaustive:
-        limit = EXHAUSTIVE_OPT_IN_ORDER if allow_large else EXHAUSTIVE_MAX_ORDER
-        if l.order > limit:
-            hint = "" if allow_large else " (allow_large=True permits order 5)"
-            raise ValueError(f"order {l.order} too large for exhaustive search; limit {limit}{hint}")
-        size, witness_triples = _scan_subsets(l)
-        witness = PartialLatinSquare.from_triples(l.order, witness_triples)
-        return LargestCritical(size=size, witness=witness, exact=True)
+        _check_exhaustive_order(l.order, allow_large)
+        witness = min(_critical_sets(l, _all_squares(l.order)), key=_largest_first)
+        return LargestCritical(len(witness), PartialLatinSquare.from_triples(l.order, witness), True)
     best = None
     for k in range(starts):
         c = minimize_uc(l, removal_order="random", seed=seed + k)
@@ -231,22 +254,10 @@ def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
     sets bijectively and carry any square to a reduced one, so the
     maximum over reduced squares equals the maximum over all squares.
     """
-    limit = EXHAUSTIVE_OPT_IN_ORDER if allow_large else EXHAUSTIVE_MAX_ORDER
-    if not 1 <= n <= limit:
-        hint = "" if allow_large else " (allow_large=True permits order 5)"
-        raise ValueError(f"exhaustive lcs supports orders 1..{limit}, got {n}{hint}")
-    best_value = -1
-    best_triples = None
-    best_square = None
-    for square in iter_reduced(n):
-        size, witness_triples = _scan_subsets(square)
-        if size > best_value or (size == best_value and witness_triples < best_triples):
-            best_value = size
-            best_triples = witness_triples
-            best_square = square
-    return LcsRecord(
-        order=n,
-        value=best_value,
-        witness_square=best_square,
-        witness_set=PartialLatinSquare.from_triples(n, best_triples),
+    _check_exhaustive_order(n, allow_large)
+    squares = _all_squares(n)
+    witness, square = min(
+        ((c, s) for s in iter_reduced(n) for c in _critical_sets(s, squares)),
+        key=lambda cs: _largest_first(cs[0]),
     )
+    return LcsRecord(n, len(witness), square, PartialLatinSquare.from_triples(n, witness))

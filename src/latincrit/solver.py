@@ -105,9 +105,8 @@ def _propagate_flat(n: int, cells: list, row_used: list, col_used: list) -> bool
     return True
 
 
-def _flatten(p: PartialLatinSquare) -> tuple[list, list, list]:
-    n = p.order
-    cells = [v for row in p.grid for v in row]
+def _used_masks(n: int, cells: list) -> tuple[list, list]:
+    """Per-row and per-column bitmasks of the symbols a flat grid uses."""
     row_used = [0] * n
     col_used = [0] * n
     for idx, v in enumerate(cells):
@@ -116,7 +115,7 @@ def _flatten(p: PartialLatinSquare) -> tuple[list, list, list]:
             r, c = divmod(idx, n)
             row_used[r] |= bit
             col_used[c] |= bit
-    return cells, row_used, col_used
+    return row_used, col_used
 
 
 def _serialize_flat(n: int, cells: list) -> str:
@@ -190,15 +189,7 @@ def _count_flat(n: int, cells: list, cap) -> tuple[int, list]:
     (saturated at cap) and up to two witness grids as flat tuples."""
     counter = _Counter(n, cap)
     flat = list(cells)
-    row_used = [0] * n
-    col_used = [0] * n
-    for idx, v in enumerate(flat):
-        if v:
-            bit = 1 << (v - 1)
-            r, c = divmod(idx, n)
-            row_used[r] |= bit
-            col_used[c] |= bit
-    counter.search(flat, row_used, col_used)
+    counter.search(flat, *_used_masks(n, flat))
     return counter.count, [w for _, w in counter.best]
 
 
@@ -206,8 +197,8 @@ def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:
     """Closure of `p` under forced moves, with FIXED_POINT or
     CONTRADICTION status.  The completion set is unchanged either way."""
     n = p.order
-    cells, row_used, col_used = _flatten(p)
-    ok = _propagate_flat(n, cells, row_used, col_used)
+    cells = [v for row in p.grid for v in row]
+    ok = _propagate_flat(n, cells, *_used_masks(n, cells))
     result = PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
     return result, (FIXED_POINT if ok else CONTRADICTION)
 

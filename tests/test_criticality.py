@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,12 +13,16 @@ from latincrit.constructions import (
 )
 from latincrit.criticality import (
     KNOWN_LCS,
+    critical_sets,
     largest_critical_in,
     lcs_exhaustive,
     minimize_uc,
     verify_critical,
 )
+from latincrit.enumeration import iter_reduced
 from latincrit.solver import NotUniqueError, is_uniquely_completable, unique_completion
+
+from oracle import naive_completions, naive_critical_sets
 
 
 def test_classic_5x5_is_critical():
@@ -193,3 +198,37 @@ def test_relabeling_preserves_criticality_at_order_4():
 def test_known_lcs_fixtures_sit_between_bounds():
     for n in (5, 6):
         assert nelder_bound(n) <= KNOWN_LCS[n] <= bm_upper(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_critical_sets_match_subset_scan_oracle(n):
+    # every square of order n, listed by the naive enumerator
+    for rows in naive_completions(PartialLatinSquare.empty(n)):
+        square = LatinSquare(rows)
+        found = [c.triples() for c in critical_sets(square)]
+        assert len(found) == len(set(found))
+        assert set(found) == naive_critical_sets(square)
+
+
+def test_critical_sets_order_4_verify_and_spectra():
+    spectra = []
+    for square in iter_reduced(4):
+        found = critical_sets(square)
+        for c in found:
+            rep = verify_critical(c)
+            assert rep.critical and rep.completion == square
+        sizes = Counter(c.size for c in found)
+        spectra.append((len(found), sorted(sizes)))
+        # relabeling carries critical sets to critical sets one to one
+        rng = random.Random(len(spectra))
+        for _ in range(3):
+            perms = [rng.sample(range(4), 4) for _ in range(3)]
+            moved = critical_sets(relabel(square, *perms))
+            assert Counter(c.size for c in moved) == sizes
+            assert {c.triples() for c in moved} == {relabel(c, *perms).triples() for c in found}
+    assert sorted(spectra) == [(576, [5, 6, 7]), (736, [4, 5, 6]), (736, [4, 5, 6]), (736, [4, 5, 6])]
+
+
+def test_critical_sets_rejects_big_orders():
+    with pytest.raises(ValueError):
+        critical_sets(back_circulant(5))
