@@ -210,14 +210,6 @@ def _largest_first(c: tuple[Triple, ...]):
     return -len(c), c
 
 
-def critical_sets(l: LatinSquare, allow_large: bool = False) -> list[PartialLatinSquare]:
-    """Every critical set inside l, each once; order limits as for
-    exhaustive search."""
-    _check_exhaustive_order(l.order, allow_large)
-    squares = _all_squares(l.order)
-    return [PartialLatinSquare.from_triples(l.order, c) for c in _critical_sets(l, squares)]
-
-
 def largest_critical_in(
     l: LatinSquare,
     exhaustive: bool = True,

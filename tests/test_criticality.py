@@ -13,7 +13,8 @@ from latincrit.constructions import (
 )
 from latincrit.criticality import (
     KNOWN_LCS,
-    critical_sets,
+    _all_squares,
+    _critical_sets,
     largest_critical_in,
     lcs_exhaustive,
     minimize_uc,
@@ -202,33 +203,32 @@ def test_known_lcs_fixtures_sit_between_bounds():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_critical_sets_match_subset_scan_oracle(n):
+    squares = _all_squares(n)
     # every square of order n, listed by the naive enumerator
     for rows in naive_completions(PartialLatinSquare.empty(n)):
         square = LatinSquare(rows)
-        found = [c.triples() for c in critical_sets(square)]
+        found = list(_critical_sets(square, squares))
         assert len(found) == len(set(found))
         assert set(found) == naive_critical_sets(square)
 
 
 def test_critical_sets_order_4_verify_and_spectra():
+    squares = _all_squares(4)
     spectra = []
     for square in iter_reduced(4):
-        found = critical_sets(square)
+        found = list(_critical_sets(square, squares))
         for c in found:
-            rep = verify_critical(c)
+            rep = verify_critical(PartialLatinSquare.from_triples(4, c))
             assert rep.critical and rep.completion == square
-        sizes = Counter(c.size for c in found)
+        sizes = Counter(len(c) for c in found)
         spectra.append((len(found), sorted(sizes)))
         # relabeling carries critical sets to critical sets one to one
         rng = random.Random(len(spectra))
         for _ in range(3):
             perms = [rng.sample(range(4), 4) for _ in range(3)]
-            moved = critical_sets(relabel(square, *perms))
-            assert Counter(c.size for c in moved) == sizes
-            assert {c.triples() for c in moved} == {relabel(c, *perms).triples() for c in found}
+            moved = set(_critical_sets(relabel(square, *perms), squares))
+            assert Counter(len(c) for c in moved) == sizes
+            assert moved == {
+                relabel(PartialLatinSquare.from_triples(4, c), *perms).triples() for c in found
+            }
     assert sorted(spectra) == [(576, [5, 6, 7]), (736, [4, 5, 6]), (736, [4, 5, 6]), (736, [4, 5, 6])]
-
-
-def test_critical_sets_rejects_big_orders():
-    with pytest.raises(ValueError):
-        critical_sets(back_circulant(5))
