@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .enumeration import count_all
 
 LN2 = math.log(2.0)
-LN_2PI = math.log(2.0 * math.pi)
 LN_8PI = math.log(8.0 * math.pi)
 
 # Tolerance for log-space inequality checks.
@@ -90,19 +89,6 @@ def theorem1_lower(n: int) -> float:
     return n * n * (1.0 - (2.0 + LN2) / ln_n) + n * (1.0 + LN_8PI / ln_n) - LN2 / ln_n
 
 
-def theorem1_lower_proof_form(n: int) -> float:
-    """Same bound with the n-coefficient written 1 + (2 ln 2 + ln 2 pi)/ln n;
-    agrees with theorem1_lower to 1e-9 relative since ln 8 pi = 2 ln 2 + ln 2 pi."""
-    if n < 2:
-        raise ValueError(f"defined for n >= 2 only, got {n}")
-    ln_n = math.log(n)
-    return (
-        n * n * (1.0 - (2.0 + LN2) / ln_n)
-        + n * (1.0 + (2.0 * LN2 + LN_2PI) / ln_n)
-        - LN2 / ln_n
-    )
-
-
 def log_Ln_lower(n: int) -> float:
     """2n ln(n!) - n^2 ln n, the permanent-based lower bound on ln L(n)."""
     if n < 1:
@@ -145,18 +131,16 @@ def check_chain(n: int, lcs_value: int) -> ChainCheck:
 
 def crossover() -> int:
     """Smallest n >= 2 from which the analytic lower bound stays above the
-    triangular construction's size over the whole window [n, 10n] (the
-    window guards against flicker near the crossing)."""
+    triangular construction's size (n^2 - n)/2 for every larger order.
 
-    def beats(k: int) -> bool:
-        return theorem1_lower(k) > nelder_bound(k)
-
-    n = 2
-    while n <= 100_000:
-        if beats(n) and all(beats(k) for k in range(n, 10 * n + 1)):
-            return n
-        n += 1
-    raise RuntimeError("no crossover found below 100000")
+    The difference is g(n) = n^2 (1/2 - (2 + ln 2)/ln n)
+    + n (3/2 + ln(8 pi)/ln n) - ln 2/ln n.  Once ln n >= 2 (2 + ln 2),
+    that is n >= 219, the n^2 coefficient is >= 0, so g(n) > 3n/2 - 1 > 0.
+    Only the orders below 219 can fail, and they are checked exactly.
+    """
+    certified_from = math.ceil(math.exp(2.0 * (2.0 + LN2)))
+    fails = [k for k in range(2, certified_from) if theorem1_lower(k) <= nelder_bound(k)]
+    return fails[-1] + 1 if fails else 2
 
 
 def bounds_table(n_from: int, n_to: int) -> list[BoundsRow]:

@@ -9,7 +9,7 @@ seed 0 so runs are reproducible by default.
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 
 from . import bounds as bounds_mod
@@ -21,13 +21,7 @@ from .constructions import (
     random_latin_square,
 )
 from .core import GridError, parse_partial, serialize
-from .criticality import (
-    KNOWN_LCS,
-    largest_critical_in,
-    lcs_exhaustive,
-    minimize_uc,
-    verify_critical,
-)
+from .criticality import KNOWN_LCS, lcs_exhaustive, minimize_uc, verify_critical
 from .enumeration import count_all, iter_reduced
 from .solver import NotUniqueError, count_completions, is_uniquely_completable
 
@@ -80,18 +74,22 @@ def _cmd_minimize(args) -> int:
 def _cmd_lcs(args) -> int:
     n = args.n
     if args.heuristic:
-        best = None
-        for k in range(args.starts):
-            square = random_latin_square(n, seed=args.seed + k)
-            res = largest_critical_in(square, exhaustive=False, seed=args.seed + k, starts=1)
-            key = (-res.size, res.witness.triples())
-            if best is None or key < best[0]:
-                best = (key, res.witness, square)
-        print(f"lcs({n}) >= {best[1].size} (heuristic lower bound)")
+        if args.starts < 1:
+            raise ValueError(f"--starts must be >= 1, got {args.starts}")
+
+        def start(seed: int):
+            square = random_latin_square(n, seed=seed)
+            return minimize_uc(square, removal_order="random", seed=seed), square
+
+        witness, square = min(
+            map(start, range(args.seed, args.seed + args.starts)),
+            key=lambda ws: (-ws[0].size, ws[0].triples()),
+        )
+        print(f"lcs({n}) >= {witness.size} (heuristic lower bound)")
         print("witness square:")
-        print(serialize(best[2]), end="")
+        print(serialize(square), end="")
         print("witness set:")
-        print(serialize(best[1]), end="")
+        print(serialize(witness), end="")
         return 0
     rec = lcs_exhaustive(n, allow_large=args.allow_large)
     print(f"lcs({n}) = {rec.value}")
@@ -226,16 +224,11 @@ def _cmd_check_stirling(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latincrit",
         description="Critical sets of Latin squares: solve, verify, enumerate, bound.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker cap; results are identical for any value (execution is sequential)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GridError, ValueError) as exc:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 
 from .core import MAX_ORDER, GridError, LatinSquare, PartialLatinSquare
+from .enumeration import _row_major_fills
 
 
 def back_circulant(n: int) -> LatinSquare:
@@ -59,30 +60,5 @@ def random_latin_square(n: int, seed: int = 0) -> LatinSquare:
     """
     if not 1 <= n <= MAX_ORDER:
         raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")
-    rng = random.Random(seed)
-    full = (1 << n) - 1
-    cells = [0] * (n * n)
-    row_used = [0] * n
-    col_used = [0] * n
-
-    def fill(idx: int) -> bool:
-        if idx == n * n:
-            return True
-        r, c = divmod(idx, n)
-        free = full & ~(row_used[r] | col_used[c])
-        symbols = [s + 1 for s in range(n) if free >> s & 1]
-        rng.shuffle(symbols)
-        for s in symbols:
-            bit = 1 << (s - 1)
-            cells[idx] = s
-            row_used[r] |= bit
-            col_used[c] |= bit
-            if fill(idx + 1):
-                return True
-            cells[idx] = 0
-            row_used[r] &= ~bit
-            col_used[c] &= ~bit
-        return False
-
-    fill(0)
+    cells = next(_row_major_fills(n, [0] * (n * n), random.Random(seed)))
     return LatinSquare([cells[i * n : (i + 1) * n] for i in range(n)])

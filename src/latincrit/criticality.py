@@ -70,7 +70,6 @@ class CriticalityReport:
 class LargestCritical(NamedTuple):
     size: int
     witness: PartialLatinSquare
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -210,33 +209,16 @@ def _largest_first(c: tuple[Triple, ...]):
     return -len(c), c
 
 
-def largest_critical_in(
-    l: LatinSquare,
-    exhaustive: bool = True,
-    allow_large: bool = False,
-    seed: int = 0,
-    starts: int = 32,
-) -> LargestCritical:
-    """Largest critical set inside one square.
+def largest_critical_in(l: LatinSquare, allow_large: bool = False) -> LargestCritical:
+    """Largest critical set inside one square, exactly.
 
-    Exhaustive mode lists the critical sets of l as the minimal
-    transversals of its minimal Latin trades (order <= 4 enforced, 5
-    opt-in via allow_large) and returns a largest one, ties broken by the
-    smallest triple tuple.  Heuristic mode takes the best of `starts`
-    seeded random-order minimizations of the full square and returns a
-    lower bound (exact=False).
+    Lists the critical sets of l as the minimal transversals of its
+    minimal Latin trades (order <= 4 enforced, 5 opt-in via allow_large)
+    and returns a largest one, ties broken by the smallest triple tuple.
     """
-    if exhaustive:
-        _check_exhaustive_order(l.order, allow_large)
-        witness = min(_critical_sets(l, _all_squares(l.order)), key=_largest_first)
-        return LargestCritical(len(witness), PartialLatinSquare.from_triples(l.order, witness), True)
-    best = None
-    for k in range(starts):
-        c = minimize_uc(l, removal_order="random", seed=seed + k)
-        key = (-c.size, c.triples())
-        if best is None or key < best[0]:
-            best = (key, c)
-    return LargestCritical(size=best[1].size, witness=best[1], exact=False)
+    _check_exhaustive_order(l.order, allow_large)
+    witness = min(_critical_sets(l, _all_squares(l.order)), key=_largest_first)
+    return LargestCritical(len(witness), PartialLatinSquare.from_triples(l.order, witness))
 
 
 def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:

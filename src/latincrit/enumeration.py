@@ -33,56 +33,66 @@ def _check_order(n: int, allow_large: bool):
         raise ValueError(f"order {n} too large to enumerate; limit {limit}{hint}")
 
 
-def _iter_reduced_grids(n: int) -> Iterator[tuple]:
-    """Yield reduced squares as row tuples, in lexicographic row-major
-    order (cells filled row-major, symbols tried ascending)."""
-    cells = [0] * (n * n)
+def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
+    """Complete the flat row-major grid `cells` (0 = empty) in place,
+    filling the empty cells in row-major order and trying each cell's free
+    symbols in ascending order, or in an order shuffled by `rng`.  The
+    returned generator yields that same list at every completion, so
+    callers copy what they keep."""
+    full = (1 << n) - 1
     row_used = [0] * n
     col_used = [0] * n
-    for k in range(n):
-        bit = 1 << k
-        cells[k] = k + 1
-        row_used[0] |= bit
-        col_used[k] |= bit
-        if k:
-            cells[k * n] = k + 1
-            row_used[k] |= bit
-            col_used[0] |= bit
-    free = [idx for idx in range(n * n) if cells[idx] == 0]
-    full = (1 << n) - 1
+    for idx, v in enumerate(cells):
+        if v:
+            row_used[idx // n] |= 1 << (v - 1)
+            col_used[idx % n] |= 1 << (v - 1)
+    free = [idx for idx, v in enumerate(cells) if not v]
 
-    def fill(pos: int) -> Iterator[tuple]:
+    def fill(pos: int) -> Iterator[list]:
         if pos == len(free):
-            yield tuple(tuple(cells[r * n : (r + 1) * n]) for r in range(n))
+            yield cells
             return
         idx = free[pos]
         r, c = divmod(idx, n)
         cand = full & ~(row_used[r] | col_used[c])
+        bits = []
         while cand:
             bit = cand & -cand
             cand ^= bit
+            bits.append(bit)
+        if rng is not None:
+            rng.shuffle(bits)
+        for bit in bits:
             cells[idx] = bit.bit_length()
             row_used[r] |= bit
             col_used[c] |= bit
             yield from fill(pos + 1)
-            cells[idx] = 0
-            row_used[r] &= ~bit
-            col_used[c] &= ~bit
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+        cells[idx] = 0
 
-    yield from fill(0)
+    return fill(0)
+
+
+def _reduced_border(n: int) -> list:
+    """Flat n x n grid holding only the first row and column, 1..n."""
+    cells = [0] * (n * n)
+    for k in range(n):
+        cells[k] = cells[k * n] = k + 1
+    return cells
 
 
 def iter_reduced(n: int, allow_large: bool = False) -> Iterator[LatinSquare]:
     """All Latin squares of order n with first row and column 1..n, each
     exactly once, in lexicographic row-major order."""
     _check_order(n, allow_large)
-    for rows in _iter_reduced_grids(n):
-        yield LatinSquare(rows)
+    for cells in _row_major_fills(n, _reduced_border(n)):
+        yield LatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
 
 
 def count_all(n: int, allow_large: bool = False) -> EnumerationResult:
     """Exact R(n) by enumeration and L(n) = n! * (n-1)! * R(n)."""
     _check_order(n, allow_large)
-    reduced = sum(1 for _ in _iter_reduced_grids(n))
+    reduced = sum(1 for _ in _row_major_fills(n, _reduced_border(n)))
     total = math.factorial(n) * math.factorial(n - 1) * reduced
     return EnumerationResult(order=n, reduced_count=reduced, total_count=total)

@@ -15,7 +15,6 @@ from latincrit.bounds import (
     stirling_check,
     svr_bound,
     theorem1_lower,
-    theorem1_lower_proof_form,
 )
 from latincrit.criticality import KNOWN_LCS, KNOWN_LCS_LOWER_BOUNDS
 
@@ -39,7 +38,7 @@ def test_theorem1_undefined_below_2():
     with pytest.raises(ValueError):
         theorem1_lower(1)
     with pytest.raises(ValueError):
-        theorem1_lower_proof_form(0)
+        theorem1_lower(0)
 
 
 def test_nelder_bound_values():
@@ -109,11 +108,21 @@ def test_crossover_is_195():
     assert crossover() == 195
 
 
+def test_crossover_certificate():
+    # from n = 219 on, ln n >= 2 (2 + ln 2) makes the n^2 coefficient of
+    # theorem1_lower(n) - (n^2 - n)/2 non-negative, so the bound wins there
+    threshold = 2 * (2 + math.log(2))
+    assert math.log(218) < threshold <= math.log(219)
+    for n in (219, 220, 500, 10**4, 10**6):
+        assert theorem1_lower(n) - nelder_bound(n) > 1.5 * n - 1
+    # below 219 the bound wins exactly on 195..218
+    assert all(theorem1_lower(n) > nelder_bound(n) for n in range(195, 219))
+    assert not any(theorem1_lower(n) > nelder_bound(n) for n in range(2, 195))
+
+
 def test_form_equivalence_sampled():
-    for n in (2, 3, 7, 100, 195, 9999, 100000):
-        a = theorem1_lower(n)
-        b = theorem1_lower_proof_form(n)
-        assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+    # the proof writes the n-coefficient as 1 + (2 ln 2 + ln 2 pi)/ln n
+    assert math.isclose(math.log(8 * math.pi), 2 * math.log(2) + math.log(2 * math.pi), rel_tol=1e-12)
 
 
 def test_exact_counting_dominates_theorem1_sampled():

@@ -74,10 +74,28 @@ def test_lcs_exhaustive_4(capsys):
 
 
 def test_lcs_heuristic_reports_lower_bound(capsys):
+    from latincrit.criticality import verify_critical
+
     code, out, _ = run(capsys, "lcs", "5", "--heuristic", "--starts", "4")
     assert code == 0
-    assert "lcs(5) >=" in out
     assert "heuristic lower bound" in out
+    square_text = out.split("witness square:\n", 1)[1].split("witness set:\n", 1)[0]
+    witness = parse_partial(out.split("witness set:\n", 1)[1])
+    assert out.startswith(f"lcs(5) >= {witness.size} ")
+    assert verify_critical(witness).critical
+    # the witness set sits inside the witness square
+    square = parse_partial(square_text)
+    assert square.is_complete()
+    for t in witness.triples():
+        assert square.grid[t.row - 1][t.col - 1] == t.sym
+
+
+def test_lcs_heuristic_rejects_non_positive_starts(capsys):
+    for starts in ("0", "-3"):
+        code, out, err = run(capsys, "lcs", "5", "--heuristic", "--starts", starts)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--starts" in err
 
 
 def test_lcs_too_large_is_usage_error(capsys):
@@ -193,9 +211,3 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/grid.lsq")
     assert code == 2
     assert "error" in err
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--threads", "4", "bounds", "--crossover")
-    assert code == 0
-    assert out.strip() == "195"

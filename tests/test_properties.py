@@ -1,0 +1,56 @@
+"""Property tests: the solver against the naive oracle, and completion
+counts under relabeling, on random partial squares of order <= 4."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latincrit.constructions import random_latin_square
+from latincrit.core import PartialLatinSquare, relabel
+from latincrit.solver import count_completions
+
+from oracle import naive_count
+
+MAX_ORDER = 4
+
+
+@st.composite
+def partial_squares(draw):
+    """Either a random subset of a complete square (always completable),
+    or symbols dropped into cells one by one, skipping any that would
+    repeat in its row or column (often not completable)."""
+    n = draw(st.integers(1, MAX_ORDER))
+    if draw(st.booleans()):
+        square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
+        keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        return PartialLatinSquare(
+            [[v if keep[r * n + c] else 0 for c, v in enumerate(row)] for r, row in enumerate(square.grid)]
+        )
+    symbols = draw(st.lists(st.integers(0, n), min_size=n * n, max_size=n * n))
+    rows = [[0] * n for _ in range(n)]
+    for idx, v in enumerate(symbols):
+        r, c = divmod(idx, n)
+        if v not in rows[r] and all(rows[i][c] != v for i in range(n)):
+            rows[r][c] = v
+    return PartialLatinSquare(rows)
+
+
+@st.composite
+def relabelings(draw):
+    p = draw(partial_squares())
+    perms = [draw(st.permutations(range(p.order))) for _ in range(3)]
+    return p, perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_squares())
+def test_solver_count_matches_oracle(p):
+    report = count_completions(p)
+    assert report.count == naive_count(p)
+    assert not report.capped
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelings())
+def test_relabel_preserves_completion_count(case):
+    p, perms = case
+    assert count_completions(relabel(p, *perms)).count == count_completions(p).count
