@@ -117,6 +117,17 @@ def test_largest_critical_rejects_big_orders():
         largest_critical_in(back_circulant(5))
 
 
+def test_largest_critical_heuristic_is_lower_bound():
+    # each start of the lcs --heuristic portfolio is a seeded random-order
+    # minimization; its critical set never beats the exact per-square maximum
+    square = back_circulant(4)
+    exact = largest_critical_in(square).size
+    for seed in range(4):
+        c = minimize_uc(square, removal_order="random", seed=seed)
+        assert verify_critical(c).critical
+        assert c.size <= exact
+
+
 def test_lcs_small_orders():
     assert lcs_exhaustive(1).value == 0
     assert lcs_exhaustive(2).value == 1
