@@ -39,7 +39,7 @@ def _cmd_complete(args) -> int:
     report = count_completions(p, cap)
     suffix = " (capped)" if report.capped else ""
     print(f"completions: {report.count}{suffix}")
-    if report.count == 1:
+    if report.count == 1 and not report.capped:
         print("completion:")
         print(serialize(report.witnesses[0]), end="")
     elif args.witnesses:
@@ -216,6 +216,8 @@ def _cmd_check_chain(args) -> int:
 
 
 def _cmd_check_stirling(args) -> int:
+    if args.n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {args.n_max}")
     failures = [n for n in range(1, args.n_max + 1) if not bounds_mod.stirling_check(n)]
     if failures:
         print(f"stirling FAILS at n = {failures}")

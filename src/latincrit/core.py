@@ -43,7 +43,7 @@ class PartialLatinSquare:
     __slots__ = ("order", "grid")
 
     def __init__(self, rows: Iterable[Iterable[int | None]]):
-        grid = tuple(tuple(0 if v is None else int(v) for v in row) for row in rows)
+        grid = tuple([tuple([0 if v is None else int(v) for v in row]) for row in rows])
         n = len(grid)
         if not 1 <= n <= MAX_ORDER:
             raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")

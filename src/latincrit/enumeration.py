@@ -36,9 +36,9 @@ def _check_order(n: int, allow_large: bool):
 def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
     """Complete the flat row-major grid `cells` (0 = empty) in place,
     filling the empty cells in row-major order and trying each cell's free
-    symbols in ascending order, or in an order shuffled by `rng`.  The
-    returned generator yields that same list at every completion, so
-    callers copy what they keep."""
+    symbols in ascending order, or in an order shuffled by `rng`.  Yields
+    that same list at every completion, so callers copy what they keep.
+    Backtracks over an explicit stack, so no order nests Python frames."""
     full = (1 << n) - 1
     row_used = [0] * n
     col_used = [0] * n
@@ -46,14 +46,15 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
         if v:
             row_used[idx // n] |= 1 << (v - 1)
             col_used[idx % n] |= 1 << (v - 1)
-    free = [idx for idx, v in enumerate(cells) if not v]
-
-    def fill(pos: int) -> Iterator[list]:
-        if pos == len(free):
-            yield cells
-            return
-        idx = free[pos]
-        r, c = divmod(idx, n)
+    free = [divmod(idx, n) for idx, v in enumerate(cells) if not v]
+    if not free:
+        yield cells
+        return
+    last = len(free) - 1
+    stack = []  # stack[d]: the symbols still to try at free[d], for d < depth
+    depth = 0
+    while True:  # enter free[depth]
+        r, c = free[depth]
         cand = full & ~(row_used[r] | col_used[c])
         bits = []
         while cand:
@@ -62,16 +63,29 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
             bits.append(bit)
         if rng is not None:
             rng.shuffle(bits)
-        for bit in bits:
-            cells[idx] = bit.bit_length()
-            row_used[r] |= bit
-            col_used[c] |= bit
-            yield from fill(pos + 1)
+        bits.reverse()  # pop() takes them in order
+        while True:  # try the next symbol at free[depth], or back up
+            if bits:
+                bit = bits.pop()
+                cells[r * n + c] = bit.bit_length()
+                row_used[r] |= bit
+                col_used[c] |= bit
+                if depth < last:
+                    stack.append(bits)
+                    depth += 1
+                    break
+                yield cells
+            else:
+                cells[r * n + c] = 0
+                if not depth:
+                    return
+                bits = stack.pop()
+                depth -= 1
+                r, c = free[depth]
+                bit = 1 << (cells[r * n + c] - 1)
+            # take back `bit`: the completed last cell, or the one backed up to
             row_used[r] ^= bit
             col_used[c] ^= bit
-        cells[idx] = 0
-
-    return fill(0)
 
 
 def _reduced_border(n: int) -> list:

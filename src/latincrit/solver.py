@@ -1,11 +1,17 @@
 """Completion counting and unique-completability for partial Latin squares.
 
-Backtracking over empty cells with bitmask candidate sets.  Every search
-node first closes under forced moves: naked singles (one candidate left
-in a cell) and hidden singles (one admissible cell left for a symbol in a
-row or column).  Branching picks a cell with the fewest candidates, ties
-broken in row-major order, symbols tried ascending, so counts, the capped
-flag, and witnesses are deterministic.
+Backtracking over a flat row-major grid (0 = empty) and six bitmask
+tables: the symbols in each row and column (`row_used`, `col_used`), the
+rows and columns holding each symbol (`sym_rows`, `sym_cols`), and the
+empty cells of each row and column (`row_empty`, `col_empty`).  So every
+rule is a bit test: cell (r, c) may take `~(row_used[r] | col_used[c])`,
+and symbol v may go in row r at `row_empty[r] & ~sym_cols[v]`.  Each node
+first closes under forced moves, sweeping naked singles (one candidate
+left in a cell), then hidden singles in rows, then in columns (one cell
+left for a symbol), lowest index first, until a sweep fires nothing.  It
+then branches on a cell with the fewest candidates, ties broken in
+row-major order, symbols ascending, each branch on copies of the
+state, so counts, the capped flag, and witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -38,148 +44,146 @@ class CompletionReport:
     witnesses: tuple[LatinSquare, ...]
 
 
-def _propagate_flat(n: int, cells: list, row_used: list, col_used: list) -> bool:
-    """Fill forced cells in place until no rule fires.  Returns False on
-    contradiction: an empty cell with no candidate, or a missing symbol
-    with no admissible cell in its row or column."""
+def _propagate_flat(n, cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty) -> bool:
+    """Fill forced cells in place until no rule fires, updating every
+    table.  Returns False on contradiction: an empty cell with no
+    candidate, or a missing symbol with no admissible cell in its row or
+    column.  Placements inline `_place`: a call per forced cell costs
+    about 8% of counting time."""
     full = (1 << n) - 1
     changed = True
     while changed:
         changed = False
         # naked singles
-        for idx in range(n * n):
-            if cells[idx]:
-                continue
-            r, c = divmod(idx, n)
-            cand = full & ~(row_used[r] | col_used[c])
-            if cand == 0:
-                return False
-            if cand & (cand - 1) == 0:
-                cells[idx] = cand.bit_length()
-                row_used[r] |= cand
-                col_used[c] |= cand
-                changed = True
-        # hidden singles in rows
         for r in range(n):
-            missing = full & ~row_used[r]
-            base = r * n
-            while missing:
-                bit = missing & -missing
-                missing ^= bit
-                spots = 0
-                spot = -1
-                for c in range(n):
-                    if cells[base + c] == 0 and not col_used[c] & bit:
-                        spots += 1
-                        if spots > 1:
-                            break
-                        spot = c
-                if spots == 0:
+            empty = row_empty[r]
+            while empty:
+                cbit = empty & -empty
+                empty ^= cbit
+                c = cbit.bit_length() - 1
+                cand = full & ~(row_used[r] | col_used[c])
+                if cand == 0:
                     return False
-                if spots == 1:
-                    cells[base + spot] = bit.bit_length()
-                    row_used[r] |= bit
-                    col_used[spot] |= bit
+                if cand & (cand - 1) == 0:
+                    v = cand.bit_length()
+                    cells[r * n + c] = v
+                    row_used[r] |= cand
+                    col_used[c] |= cand
+                    sym_rows[v] |= 1 << r
+                    sym_cols[v] |= cbit
+                    row_empty[r] ^= cbit
+                    col_empty[c] ^= 1 << r
                     changed = True
-        # hidden singles in columns
-        for c in range(n):
-            missing = full & ~col_used[c]
-            while missing:
-                bit = missing & -missing
-                missing ^= bit
-                spots = 0
-                spot = -1
-                for r in range(n):
-                    if cells[r * n + c] == 0 and not row_used[r] & bit:
-                        spots += 1
-                        if spots > 1:
-                            break
-                        spot = r
-                if spots == 0:
-                    return False
-                if spots == 1:
-                    cells[spot * n + c] = bit.bit_length()
-                    row_used[spot] |= bit
-                    col_used[c] |= bit
-                    changed = True
+        # hidden singles in rows, then in columns
+        for by_col in (False, True):
+            used, empty, holders = ((col_used, col_empty, sym_rows) if by_col
+                                    else (row_used, row_empty, sym_cols))
+            for line in range(n):
+                missing = full & ~used[line]
+                while missing:
+                    bit = missing & -missing
+                    missing ^= bit
+                    v = bit.bit_length()
+                    spots = empty[line] & ~holders[v]
+                    if spots == 0:
+                        return False
+                    if spots & (spots - 1) == 0:
+                        spot = spots.bit_length() - 1
+                        r, c = (spot, line) if by_col else (line, spot)
+                        cells[r * n + c] = v
+                        row_used[r] |= bit
+                        col_used[c] |= bit
+                        sym_rows[v] |= 1 << r
+                        sym_cols[v] |= 1 << c
+                        row_empty[r] ^= 1 << c
+                        col_empty[c] ^= 1 << r
+                        changed = True
     return True
 
 
-def _used_masks(n: int, cells: list) -> tuple[list, list]:
-    """Per-row and per-column bitmasks of the symbols a flat grid uses."""
-    row_used = [0] * n
-    col_used = [0] * n
+def _place(n: int, state: list, r: int, c: int, v: int):
+    """Write symbol v into the empty cell (r, c) of the grid and tables."""
+    cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty = state
+    cells[r * n + c] = v
+    row_used[r] |= 1 << (v - 1)
+    col_used[c] |= 1 << (v - 1)
+    sym_rows[v] |= 1 << r
+    sym_cols[v] |= 1 << c
+    row_empty[r] ^= 1 << c
+    col_empty[c] ^= 1 << r
+
+
+def _state(n: int, cells) -> list:
+    """A copy of the flat grid `cells` and the six tables that describe it."""
+    full = (1 << n) - 1
+    state = [[0] * (n * n), [0] * n, [0] * n, [0] * (n + 1), [0] * (n + 1), [full] * n, [full] * n]
     for idx, v in enumerate(cells):
         if v:
-            bit = 1 << (v - 1)
-            r, c = divmod(idx, n)
-            row_used[r] |= bit
-            col_used[c] |= bit
-    return row_used, col_used
-
-
-def _serialize_flat(n: int, cells: list) -> str:
-    return "\n".join(
-        " ".join(str(v) for v in cells[r * n : (r + 1) * n]) for r in range(n)
-    )
+            _place(n, state, *divmod(idx, n), v)
+    return state
 
 
 class _Counter:
-    """Counts completions up to an optional cap, keeping the two smallest
-    serialized completions seen."""
+    """Counts completions up to an optional cap, keeping the two
+    completions whose serialized text is smallest among those seen."""
 
-    __slots__ = ("n", "cap", "count", "best")
+    __slots__ = ("n", "cap", "count", "best", "text_rank")
 
     def __init__(self, n: int, cap):
         self.n = n
         self.cap = cap
         self.count = 0
-        self.best = []  # [(serialized, cells tuple)], at most 2, sorted
+        self.best = []  # [(key, cells tuple)], at most 2, sorted
+        # Keys order like serialized text, whose separators sort below the
+        # digits: symbols compare as strings, so from n = 10 on "10" < "2".
+        self.text_rank = None if n <= 9 else {v: k for k, v in enumerate(sorted(range(1, n + 1), key=str))}
 
     def record(self, cells: list):
         self.count += 1
-        key = _serialize_flat(self.n, cells)
+        witness = tuple(cells)
+        rank = self.text_rank
+        key = witness if rank is None else tuple([rank[v] for v in cells])
         best = self.best
         if len(best) < 2:
-            best.append((key, tuple(cells)))
+            best.append((key, witness))
             best.sort()
         elif key < best[1][0]:
-            best[1] = (key, tuple(cells))
+            best[1] = (key, witness)
             best.sort()
 
-    def search(self, cells: list, row_used: list, col_used: list):
-        if not _propagate_flat(self.n, cells, row_used, col_used):
-            return
+    def search(self, state: list):
         n = self.n
+        if not _propagate_flat(n, *state):
+            return
+        cells, row_used, col_used, _, _, row_empty, _ = state
         full = (1 << n) - 1
-        best_idx = -1
+        best_r = best_c = -1
         best_cand = 0
         best_width = n + 1
-        for idx in range(n * n):
-            if cells[idx]:
-                continue
-            r, c = divmod(idx, n)
-            cand = full & ~(row_used[r] | col_used[c])
-            width = cand.bit_count()
-            if width < best_width:
-                best_idx, best_cand, best_width = idx, cand, width
-                if width == 2:  # propagation leaves no narrower cell
-                    break
-        if best_idx < 0:
+        for r in range(n):
+            empty = row_empty[r]
+            while empty:
+                cbit = empty & -empty
+                empty ^= cbit
+                c = cbit.bit_length() - 1
+                cand = full & ~(row_used[r] | col_used[c])
+                width = cand.bit_count()
+                if width < best_width:
+                    best_r, best_c, best_cand, best_width = r, c, cand, width
+                    if width == 2:  # propagation leaves no narrower cell
+                        break
+            if best_width == 2:
+                break
+        if best_r < 0:
             self.record(cells)
             return
-        r, c = divmod(best_idx, n)
         cand = best_cand
         while cand:
             bit = cand & -cand
             cand ^= bit
-            branch = cells[:]
-            branch[best_idx] = bit.bit_length()
-            rows = row_used[:]
-            cols = col_used[:]
-            rows[r] |= bit
-            cols[c] |= bit
-            self.search(branch, rows, cols)
+            branch = list(map(list.copy, state))
+            _place(n, branch, best_r, best_c, bit.bit_length())
+            self.search(branch)
             if self.cap is not None and self.count >= self.cap:
                 return
 
@@ -188,8 +192,7 @@ def _count_flat(n: int, cells: list, cap) -> tuple[int, list]:
     """Core counting loop on a flat grid (0 = empty).  Returns the count
     (saturated at cap) and up to two witness grids as flat tuples."""
     counter = _Counter(n, cap)
-    flat = list(cells)
-    counter.search(flat, *_used_masks(n, flat))
+    counter.search(_state(n, cells))
     return counter.count, [w for _, w in counter.best]
 
 
@@ -197,8 +200,9 @@ def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:
     """Closure of `p` under forced moves, with FIXED_POINT or
     CONTRADICTION status.  The completion set is unchanged either way."""
     n = p.order
-    cells = [v for row in p.grid for v in row]
-    ok = _propagate_flat(n, cells, *_used_masks(n, cells))
+    state = _state(n, [v for row in p.grid for v in row])
+    ok = _propagate_flat(n, *state)
+    cells = state[0]
     result = PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
     return result, (FIXED_POINT if ok else CONTRADICTION)
 

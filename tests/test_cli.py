@@ -47,6 +47,13 @@ def test_complete_with_cap_and_witnesses(tmp_path, capsys):
     assert out.count("witness:") == 2
 
 
+def test_complete_cap_1_on_ambiguous_grid_prints_no_completion(tmp_path, capsys):
+    path = write_grid(tmp_path, "empty2.lsq", parse_partial("2\n. .\n. .\n"))
+    code, out, _ = run(capsys, "complete", path, "--count-cap", "1")
+    assert code == 0
+    assert out == "completions: 1 (capped)\n"
+
+
 def test_minimize_emits_critical_subset(tmp_path, capsys):
     from latincrit.criticality import verify_critical
 
@@ -197,6 +204,14 @@ def test_check_stirling(capsys):
     code, out, _ = run(capsys, "check-stirling", "300")
     assert code == 0
     assert "holds for all n in 1..300" in out
+
+
+def test_check_stirling_rejects_non_positive_n_max(capsys):
+    for n_max in ("0", "-5"):
+        code, out, err = run(capsys, "check-stirling", n_max)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

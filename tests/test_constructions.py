@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from latincrit.core import GridError, LatinSquare, PartialLatinSquare, Triple, serialize
@@ -217,6 +219,22 @@ def test_random_latin_square_is_seeded_and_valid():
 def test_random_latin_square_output_is_pinned():
     for (n, seed), rows in RANDOM_SQUARES.items():
         assert serialize(random_latin_square(n, seed=seed)) == f"{n}\n" + "".join(r + "\n" for r in rows)
+
+
+def test_random_latin_square_31_runs_near_the_recursion_limit():
+    def stack_depth():
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        return depth
+
+    def nested(levels):
+        return nested(levels - 1) if levels else random_latin_square(31, seed=3)
+
+    # leave 100 frames of headroom; a frame per cell would need 961
+    deep = nested(sys.getrecursionlimit() - 100 - stack_depth())
+    assert deep == random_latin_square(31, seed=3)
+    assert naive_is_latin(deep.grid)
 
 
 def test_random_suite_premise_small():

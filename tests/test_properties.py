@@ -1,14 +1,15 @@
-"""Property tests: the solver against the naive oracle, and completion
-counts under relabeling, on random partial squares of order <= 4."""
+"""Property tests: the solver against the naive oracle, its witnesses and
+propagation, and completion counts under relabeling, on random partial
+squares of order <= 4."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latincrit.constructions import random_latin_square
-from latincrit.core import PartialLatinSquare, relabel
-from latincrit.solver import count_completions
+from latincrit.core import LatinSquare, PartialLatinSquare, relabel, serialize
+from latincrit.solver import FIXED_POINT, count_completions, propagate
 
-from oracle import naive_count
+from oracle import naive_completions, naive_count
 
 MAX_ORDER = 4
 
@@ -54,3 +55,23 @@ def test_solver_count_matches_oracle(p):
 def test_relabel_preserves_completion_count(case):
     p, perms = case
     assert count_completions(relabel(p, *perms)).count == count_completions(p).count
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_squares())
+def test_witnesses_are_the_two_smallest_in_text_order(p):
+    report = count_completions(p)
+    ref = sorted(naive_completions(p), key=lambda grid: serialize(LatinSquare(grid)))
+    assert [w.grid for w in report.witnesses] == ref[:2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_squares())
+def test_propagate_is_idempotent_and_keeps_completions(p):
+    out, status = propagate(p)
+    assert naive_count(out) == naive_count(p)
+    again, status_again = propagate(out)
+    assert status_again == status
+    # a contradiction stops mid-sweep, so only a fixed point must repeat exactly
+    if status == FIXED_POINT:
+        assert again == out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latincrit.core import LatinSquare, PartialLatinSquare, remove_entry
+from latincrit.core import LatinSquare, PartialLatinSquare, remove_entry, serialize
 from latincrit.constructions import (
     all_but_first_row_col,
     back_circulant,
@@ -147,6 +147,19 @@ def test_witnesses_are_two_smallest_serialized():
     rep = count_completions(PartialLatinSquare.empty(3))
     ref = sorted(naive_completions(PartialLatinSquare.empty(3)))
     assert [w.grid for w in rep.witnesses] == ref[:2]
+
+
+def test_witnesses_follow_text_order_from_order_10():
+    # Emptying an intercalate of back_circulant(10) leaves two completions:
+    # row 0 ends "... 5 ... 10" or "... 10 ... 5".  As text "10" < "5".
+    rows = [list(row) for row in back_circulant(10).grid]
+    for r, c in ((0, 4), (0, 9), (5, 4), (5, 9)):
+        rows[r][c] = 0
+    rep = count_completions(PartialLatinSquare(rows))
+    assert rep.count == 2
+    assert rep.witnesses[0].grid[0] == (1, 2, 3, 4, 10, 6, 7, 8, 9, 5)
+    assert rep.witnesses[1].grid == back_circulant(10).grid
+    assert serialize(rep.witnesses[0]) < serialize(rep.witnesses[1])
 
 
 def test_uniquely_completable_cases():
