@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .core import LatinSquare, PartialLatinSquare, Triple, remove_entry
+from .core import LatinSquare, PartialLatinSquare, Triple
 from .enumeration import iter_reduced
 from .solver import NotUniqueError, _count_flat, count_completions
 
@@ -94,15 +94,22 @@ def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
             removal_checks=(),
         )
     completion = report.witnesses[0]
+    n = c.order
+    cells = [v for row in c.grid for v in row]
+    completion_cells = tuple([v for row in completion.grid for v in row])
     checks = []
     for t in c.triples():
-        sub = count_completions(remove_entry(c, (t.row, t.col)), cap=2)
-        if sub.count == 1:
+        idx = (t.row - 1) * n + t.col - 1
+        cells[idx] = 0
+        count, flats = _count_flat(n, cells, 2)
+        cells[idx] = t.sym
+        if count == 1:
             checks.append(RemovalCheck(t, True, None))
         else:
-            # sub.count == 2: removal cannot empty the completion set
-            other = next(w for w in sub.witnesses if w.grid != completion.grid)
-            checks.append(RemovalCheck(t, False, other))
+            # count == 2: removal cannot empty the completion set
+            other = next(w for w in flats if w != completion_cells)
+            second = LatinSquare([other[r * n : (r + 1) * n] for r in range(n)])
+            checks.append(RemovalCheck(t, False, second))
     return CriticalityReport(
         uniquely_completable=True,
         minimal=not any(ch.still_unique for ch in checks),
@@ -118,11 +125,22 @@ def minimize_uc(
     seed: int = 0,
 ) -> PartialLatinSquare:
     """Greedily drop entries whose removal keeps the set uniquely
-    completable, repeating until a full pass removes nothing.  The result
-    is a critical set with the same unique completion as the input.
+    completable, in one pass over the filled cells.  The result is a
+    critical set with the same unique completion L as the input.
 
     removal_order "row-major" is the deterministic default; "random"
-    shuffles each pass with the given seed for heuristic portfolios.
+    visits the cells in an order shuffled once with the given seed, for
+    heuristic portfolios.
+
+    One pass suffices: if removing entry e from the current set C leaves
+    two completions, then for any later set C' within C, C' minus e lies
+    within C minus e and has at least as many completions, so an entry
+    kept once is never removable later.  Each removal is decided against
+    L: a completion L' other than L of C minus e differs from L at e (if
+    it agreed there it would complete C, so equal L).  So C minus e is
+    uniquely completable exactly when no symbol other than L's at e that
+    is free in e's row and column gives a completable grid; with no such
+    symbol the entry goes without a search.
     """
     if removal_order not in ("row-major", "random"):
         raise ValueError(f"unknown removal order {removal_order!r}")
@@ -131,28 +149,30 @@ def minimize_uc(
     count, _ = _count_flat(n, cells, 2)
     if count != 1:
         raise NotUniqueError(count)
-    rng = random.Random(seed)
-    removed = True
-    while removed:
-        removed = False
-        filled = [idx for idx in range(n * n) if cells[idx]]
-        if removal_order == "random":
-            rng.shuffle(filled)
-        for idx in filled:
-            kept = cells[idx]
+    filled = [idx for idx in range(n * n) if cells[idx]]
+    if removal_order == "random":
+        random.Random(seed).shuffle(filled)
+    for idx in filled:
+        r, c = divmod(idx, n)
+        kept = cells[idx]
+        # symbols already in this cell's row or column, kept included
+        taken = set(cells[r * n : (r + 1) * n]) | set(cells[c::n])
+        for v in range(1, n + 1):
+            if v not in taken:
+                cells[idx] = v
+                if _count_flat(n, cells, 1)[0]:
+                    cells[idx] = kept
+                    break
+        else:
             cells[idx] = 0
-            count, _ = _count_flat(n, cells, 2)
-            if count == 1:
-                removed = True
-            else:
-                cells[idx] = kept
     return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
 
 
 def _check_exhaustive_order(n: int, allow_large: bool):
     limit = EXHAUSTIVE_OPT_IN_ORDER if allow_large else EXHAUSTIVE_MAX_ORDER
     if not 1 <= n <= limit:
-        hint = "" if allow_large else " (allow_large=True permits order 5)"
+        hint = (" (order 5 needs --allow-large, or allow_large=True)"
+                if n == EXHAUSTIVE_OPT_IN_ORDER else "")
         raise ValueError(f"exhaustive search supports orders 1..{limit}, got {n}{hint}")
 
 

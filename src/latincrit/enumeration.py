@@ -29,7 +29,7 @@ def _check_order(n: int, allow_large: bool):
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n > limit:
-        hint = "" if allow_large else " (pass allow_large=True for order 6)"
+        hint = " (order 6 needs --allow-large, or allow_large=True)" if n == OPT_IN_MAX_ORDER else ""
         raise ValueError(f"order {n} too large to enumerate; limit {limit}{hint}")
 
 

@@ -111,6 +111,20 @@ def test_lcs_too_large_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_order_limit_hint_names_the_flag_only_at_the_opt_in_order(capsys):
+    for argv, hinted in (
+        (("lcs", "5"), True),
+        (("lcs", "6"), False),
+        (("count", "6"), True),
+        (("count", "7"), False),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert ("--allow-large" in err) == hinted
+
+
 def test_construct_round_trips(capsys):
     code, out, _ = run(capsys, "construct", "back-circulant", "--n", "7")
     assert code == 0

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from latincrit.core import LatinSquare, PartialLatinSquare, Triple, relabel, with_entry
+from latincrit.core import LatinSquare, PartialLatinSquare, Triple, relabel, serialize, with_entry
 from latincrit.bounds import bm_upper, nelder_bound
 from latincrit.constructions import (
     all_but_first_row_col,
@@ -99,6 +99,109 @@ def test_minimize_outputs_verify_critical():
         n = rng.randint(2, 5)
         c = minimize_uc(all_but_first_row_col(random_latin_square(n, seed=trial)))
         assert verify_critical(c).critical
+
+
+# Frozen output of minimize_uc as kept-cell masks (bit r*n + c), on
+# random_latin_square(n, s) ("full") and its all_but_first_row_col
+# ("minus"), row-major and in the random order seeded by s.
+MINIMIZED_MASKS = {
+    (5, 0, "full", "row-major"): 0x1a51300,
+    (5, 0, "full", "random"): 0x29b202,
+    (5, 0, "minus", "row-major"): 0x1a51300,
+    (5, 0, "minus", "random"): 0x693300,
+    (5, 1, "full", "row-major"): 0xe56200,
+    (5, 1, "full", "random"): 0x8d11a,
+    (5, 1, "minus", "row-major"): 0xe56200,
+    (5, 1, "minus", "random"): 0x636a80,
+    (5, 2, "full", "row-major"): 0xec3200,
+    (5, 2, "full", "random"): 0x808b26,
+    (5, 2, "minus", "row-major"): 0xec3200,
+    (5, 2, "minus", "random"): 0x18e1b80,
+    (8, 0, "full", "row-major"): 0x76e2ca7c9468c000,
+    (8, 0, "full", "random"): 0x73700f0c64d2350,
+    (8, 0, "minus", "row-major"): 0x76e2ca7c9468c000,
+    (8, 0, "minus", "random"): 0x3ae23c66489cb000,
+    (8, 1, "full", "row-major"): 0x9eeeeae0d0649000,
+    (8, 1, "full", "random"): 0x2a4d0278c91320d3,
+    (8, 1, "minus", "row-major"): 0x9eeeeae0d0649000,
+    (8, 1, "minus", "random"): 0xee452b8d896a400,
+    (8, 2, "full", "row-major"): 0x3ebcea72c824c000,
+    (8, 2, "full", "random"): 0x55688563188914a4,
+    (8, 2, "minus", "row-major"): 0x3ebcea72c824c000,
+    (8, 2, "minus", "random"): 0x2ed038aaca145a00,
+    (12, 0, "full", "row-major"): 0x38e9b69d6feaff0ecaea2170c28700c00000,
+    (12, 0, "full", "random"): 0x162e54b91acc3c8261d1338827885505be23,
+    (12, 0, "minus", "row-major"): 0x38e9b69d6feaff0ecaea2170c28700c00000,
+    (12, 0, "minus", "random"): 0x8b4f08eea81eb7adce5546d6ce01b6744000,
+    (12, 1, "full", "row-major"): 0xfcafae7bcf6649c72c730ce0f409c0a00000,
+    (12, 1, "full", "random"): 0xfe8557d516a12cd087b01614164b8c13087,
+    (12, 1, "minus", "row-major"): 0xfcafae7bcf6649c72c730ce0f409c0a00000,
+    (12, 1, "minus", "random"): 0x38e65e176cd2c9cb5ac7a524fe08ac29e000,
+    (12, 2, "full", "row-major"): 0xd7633efcafe2f9c7a46f2838b800d0e00000,
+    (12, 2, "full", "random"): 0x61754e8ec47a9862499a4e495b24f0e24218,
+    (12, 2, "minus", "row-major"): 0xd7633efcafe2f9c7a46f2838b800d0e00000,
+    (12, 2, "minus", "random"): 0xf6d5a1e2a7a654aace38786f46eb2930000,
+}
+
+
+def test_minimize_output_is_pinned():
+    for (n, s, kind, order), mask in MINIMIZED_MASKS.items():
+        square = random_latin_square(n, seed=s)
+        p = square if kind == "full" else all_but_first_row_col(square)
+        kept = PartialLatinSquare(
+            [[v if mask >> (r * n + c) & 1 else 0 for c, v in enumerate(row)] for r, row in enumerate(p.grid)]
+        )
+        assert kept.size == mask.bit_count()
+        assert serialize(minimize_uc(p, order, seed=s)) == serialize(kept)
+
+
+# Frozen removal_checks of verify_critical as (triple, rows of the second
+# completion), with None where the entry is removable.
+CLASSIC_REMOVAL_CHECKS = [
+    ((1, 1, 2), "15432 54123 42315 31254 23541"),
+    ((1, 3, 4), "24531 45123 52314 31245 13452"),
+    ((1, 4, 3), "23451 45123 52314 31245 14532"),
+    ((2, 3, 1), "25431 14523 42315 31254 53142"),
+    ((2, 4, 2), "25431 43152 52314 31245 14523"),
+    ((3, 2, 2), "25431 43125 54312 31254 12543"),
+    ((3, 3, 3), "25431 53124 42513 31245 14352"),
+    ((3, 4, 1), "25431 54123 12345 31254 43512"),
+    ((4, 1, 3), "25431 34125 52314 41253 13542"),
+    ((4, 2, 1), "21435 45123 52314 34251 13542"),
+    ((4, 3, 2), "25431 43125 52314 31542 14253"),
+]
+CLASSIC_PLUS_5_5_REMOVAL_CHECKS = [
+    ((1, 1, 2), None),
+    ((1, 3, 4), "24531 45123 52314 31245 13452"),
+    ((1, 4, 3), "23451 45123 52314 31245 14532"),
+    ((2, 3, 1), "25431 14523 42315 31254 53142"),
+    ((2, 4, 2), None),
+    ((3, 2, 2), None),
+    ((3, 3, 3), "25431 53124 42513 31245 14352"),
+    ((3, 4, 1), "25431 54123 12345 31254 43512"),
+    ((4, 1, 3), "25431 34125 52314 41253 13542"),
+    ((4, 2, 1), "21435 45123 52314 34251 13542"),
+    ((4, 3, 2), None),
+    ((5, 5, 2), None),
+]
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (classic_5x5(), CLASSIC_REMOVAL_CHECKS),
+        (with_entry(classic_5x5(), (5, 5, 2)), CLASSIC_PLUS_5_5_REMOVAL_CHECKS),
+    ],
+)
+def test_verify_critical_removal_checks_are_pinned(p, expected):
+    rep = verify_critical(p)
+    got = []
+    for ch in rep.removal_checks:
+        assert ch.still_unique == (ch.second_completion is None)
+        rows = None if ch.still_unique else " ".join("".join(map(str, row)) for row in ch.second_completion.grid)
+        got.append((tuple(ch.triple), rows))
+    assert got == expected
+    assert rep.minimal == all(rows is not None for _, rows in expected)
 
 
 def test_largest_critical_order_1():

@@ -1,13 +1,15 @@
 """Property tests: the solver against the naive oracle, its witnesses and
 propagation, and completion counts under relabeling, on random partial
-squares of order <= 4."""
+squares of order <= 4; and minimize_uc against the oracle on uniquely
+completable partial squares of order <= 5."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latincrit.constructions import random_latin_square
-from latincrit.core import LatinSquare, PartialLatinSquare, relabel, serialize
-from latincrit.solver import FIXED_POINT, count_completions, propagate
+from latincrit.core import LatinSquare, PartialLatinSquare, relabel, remove_entry, serialize
+from latincrit.criticality import minimize_uc
+from latincrit.solver import FIXED_POINT, count_completions, is_uniquely_completable, propagate
 
 from oracle import naive_completions, naive_count
 
@@ -32,6 +34,23 @@ def partial_squares(draw):
         r, c = divmod(idx, n)
         if v not in rows[r] and all(rows[i][c] != v for i in range(n)):
             rows[r][c] = v
+    return PartialLatinSquare(rows)
+
+
+@st.composite
+def uniquely_completable_squares(draw):
+    """Cells of a random square of order <= 5 taken in a drawn order: a
+    drawn number of them, then more until the set is uniquely completable."""
+    n = draw(st.integers(1, 5))
+    square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
+    order = draw(st.permutations(range(n * n)))
+    start = draw(st.integers(0, n * n))
+    rows = [[0] * n for _ in range(n)]
+    for k, idx in enumerate(order):
+        if k >= start and is_uniquely_completable(PartialLatinSquare(rows)):
+            break
+        r, c = divmod(idx, n)
+        rows[r][c] = square.grid[r][c]
     return PartialLatinSquare(rows)
 
 
@@ -75,3 +94,17 @@ def test_propagate_is_idempotent_and_keeps_completions(p):
     # a contradiction stops mid-sweep, so only a fixed point must repeat exactly
     if status == FIXED_POINT:
         assert again == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(uniquely_completable_squares(), st.sampled_from(["row-major", "random"]), st.integers(0, 100))
+def test_minimize_uc_gives_a_critical_subset_with_the_same_completion(p, removal_order, seed):
+    c = minimize_uc(p, removal_order, seed)
+    assert all(v in (0, w) for row, prow in zip(c.grid, p.grid) for v, w in zip(row, prow))
+    completion = naive_completions(p, limit=2)
+    assert len(completion) == 1
+    assert naive_completions(c, limit=2) == completion
+    for t in c.triples():
+        assert naive_count(remove_entry(c, (t.row, t.col)), limit=2) == 2
+    # critical sets are fixed points, the monotonicity behind one pass
+    assert minimize_uc(c, removal_order, seed) == c
