@@ -119,7 +119,8 @@ def stirling_check(n: int) -> bool:
 
 def check_chain(n: int, lcs_value: int) -> ChainCheck:
     """Verify 2n ln n! - n^2 ln n <= ln L(n) <= (n^2-2n+1) ln 2 + lcs ln n
-    against the exact enumeration count, at LOG_TOL slack."""
+    against the exact L(n) of `count_all` (the row dynamic program over
+    reduced squares), at LOG_TOL slack."""
     if n > 5:
         raise ValueError(f"exact L(n) available for n <= 5 only, got {n}")
     lhs = log_Ln_lower(n)

@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Exit codes: 0 success / property holds, 1 property fails (e.g. verify on
-a non-critical set), 2 usage or parse error.  Grids read and written in
-the canonical grid text format; all randomized subcommands default to
-seed 0 so runs are reproducible by default.
+a non-critical set), 2 usage or parse error.  A reader that closes the
+output early (`| head`) ends the command quietly with exit code 0.
+Grids read and written in the canonical grid text format; all randomized
+subcommands default to seed 0 so runs are reproducible by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -297,7 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # exit does not fail on the same pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (GridError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import latincrit
 from latincrit.cli import main
 from latincrit.core import parse_partial, serialize
 from latincrit.constructions import back_circulant, classic_5x5, nelder_triangle
@@ -240,3 +246,22 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/grid.lsq")
     assert code == 2
     assert "error" in err
+
+
+def test_closed_pipe_ends_quietly_with_exit_0():
+    # the 9,408 listed 6x6 squares (about 690 kB) overfill a default pipe
+    # buffer (64 KiB on Linux), so the command is still writing when the
+    # reader goes away
+    src = str(Path(latincrit.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latincrit.cli", "count", "6", "--allow-large", "--list"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == b"6\n"  # the order line of the first grid
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from latincrit.core import PartialLatinSquare, serialize
-from latincrit.enumeration import count_all, iter_reduced
+from latincrit.enumeration import _count_by_rows, count_all, iter_reduced
 from latincrit.solver import count_completions
 
 from oracle import naive_count
@@ -53,6 +53,19 @@ def test_count_all_small_orders():
         assert result.total_count == (
             math.factorial(n) * math.factorial(n - 1) * result.reduced_count
         )
+
+
+def test_row_count_matches_listing():
+    for n in range(1, 7):
+        assert count_all(n, allow_large=True).reduced_count == sum(
+            1 for _ in iter_reduced(n, allow_large=True)
+        )
+
+
+def test_row_count_of_empty_grid_is_total_count():
+    # every square, not just reduced ones: no use of L(n) = n!(n-1)!R(n)
+    for n, expected in TOTAL_COUNTS.items():
+        assert _count_by_rows(n, [0] * n * n) == expected
 
 
 def test_count_all_cross_checks_solver():

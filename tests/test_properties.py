@@ -1,7 +1,8 @@
 """Property tests: the solver against the naive oracle, its witnesses and
 propagation, and completion counts under relabeling, on random partial
-squares of order <= 4; and minimize_uc against the oracle on uniquely
-completable partial squares of order <= 5."""
+squares of order <= 4; minimize_uc against the oracle on uniquely
+completable partial squares of order <= 5; and the solver against the
+row dynamic program of `enumeration` at orders 5 and 6."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from latincrit.constructions import random_latin_square
 from latincrit.core import LatinSquare, PartialLatinSquare, relabel, remove_entry, serialize
 from latincrit.criticality import minimize_uc
+from latincrit.enumeration import _count_by_rows
 from latincrit.solver import FIXED_POINT, count_completions, is_uniquely_completable, propagate
 
 from oracle import naive_completions, naive_count
@@ -54,6 +56,23 @@ def uniquely_completable_squares(draw):
     return PartialLatinSquare(rows)
 
 
+# Most holes per order: up to these, a count takes at most tens of ms on
+# either side (an order-6 grid with 30 holes can take the solver seconds).
+MAX_HOLES = {5: 20, 6: 26}
+
+
+@st.composite
+def dense_subsets(draw):
+    """A random square of order 5 or 6 with a drawn number of cells emptied."""
+    n = draw(st.sampled_from(sorted(MAX_HOLES)))
+    square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
+    cells = [v for row in square.grid for v in row]
+    holes = draw(st.integers(0, MAX_HOLES[n]))
+    for idx in draw(st.permutations(range(n * n)))[:holes]:
+        cells[idx] = 0
+    return n, cells
+
+
 @st.composite
 def relabelings(draw):
     p = draw(partial_squares())
@@ -67,6 +86,14 @@ def test_solver_count_matches_oracle(p):
     report = count_completions(p)
     assert report.count == naive_count(p)
     assert not report.capped
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_subsets())
+def test_solver_count_matches_row_dynamic_program(case):
+    n, cells = case
+    p = PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
+    assert count_completions(p).count == _count_by_rows(n, cells)
 
 
 @settings(max_examples=100, deadline=None)
