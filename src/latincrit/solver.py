@@ -12,16 +12,32 @@ left for a symbol), lowest index first, until a sweep fires nothing.  It
 then branches on a cell with the fewest candidates, ties broken in
 row-major order, symbols ascending, each branch on copies of the
 state, so counts, the capped flag, and witnesses are deterministic.
-"""
+
+Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
+They close the root under forced moves once, count with the row dynamic
+program `enumeration._count_by_rows`, and take as witnesses the first
+two completions of the row-major filler, which are the two smallest in
+text order.  Capped counts and larger orders search, so the witnesses of
+a capped count still depend on the search order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .core import LatinSquare, PartialLatinSquare
+from .enumeration import _count_by_rows, _row_major_fills
 
 FIXED_POINT = "fixed-point"
 CONTRADICTION = "contradiction"
+
+# Uncapped counts up to this order use the row dynamic program; larger
+# orders search.  Measured against the search on 100-175 grids per order
+# (critical sets, random hole fractions, grids with no completion; 2-vCPU
+# Xeon, Python 3.11): at orders 5-7 the program took 6-7x less time in
+# total and lost at most 3 ms on any grid.  At order 8 it lost up to
+# 18 ms on a grid and 3x in total on critical sets, and at order 10 up
+# to 1.4 s on a critical set.
+ROW_COUNT_MAX_ORDER = 7
 
 
 class NotUniqueError(ValueError):
@@ -36,8 +52,9 @@ class NotUniqueError(ValueError):
 @dataclass(frozen=True)
 class CompletionReport:
     """count is exact unless capped; witnesses are up to two distinct
-    completions, the lexicographically smallest serialized forms among
-    those the deterministic search enumerated."""
+    completions.  Uncapped, they are the two smallest completions in text
+    order (by serialized form); capped, the two smallest among those the
+    deterministic search reached before the cap."""
 
     count: int
     capped: bool
@@ -188,12 +205,30 @@ class _Counter:
                 return
 
 
-def _count_flat(n: int, cells: list, cap) -> tuple[int, list]:
-    """Core counting loop on a flat grid (0 = empty).  Returns the count
+def _search_count(n: int, cells: list, cap) -> tuple[int, list]:
+    """The min-width search on a flat grid (0 = empty).  Returns the count
     (saturated at cap) and up to two witness grids as flat tuples."""
     counter = _Counter(n, cap)
     counter.search(_state(n, cells))
     return counter.count, [w for _, w in counter.best]
+
+
+def _count_flat(n: int, cells: list, cap) -> tuple[int, list]:
+    """Core counting on a flat grid (0 = empty); returns what
+    `_search_count` returns.  Uncapped counts of order <=
+    ROW_COUNT_MAX_ORDER take the count from the row dynamic program and
+    the witnesses from the row-major filler: it tries symbols in
+    ascending order, so it yields completions in row-major lexicographic
+    order, which is text order for n <= 9."""
+    if cap is not None or n > ROW_COUNT_MAX_ORDER:
+        return _search_count(n, cells, cap)
+    state = _state(n, cells)
+    if not _propagate_flat(n, *state):
+        return 0, []
+    cells = state[0]
+    count = _count_by_rows(n, cells)
+    fills = _row_major_fills(n, cells)
+    return count, [tuple(next(fills)) for _ in range(min(count, 2))]
 
 
 def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:

@@ -28,6 +28,7 @@ from latincrit.criticality import minimize_uc, verify_critical
 from latincrit.enumeration import count_all
 from latincrit.solver import (
     FIXED_POINT,
+    _search_count,
     count_completions,
     is_uniquely_completable,
     propagate,
@@ -97,8 +98,10 @@ def test_criterion_5_enumeration():
     expected_total = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
     ok = all(count_all(n).total_count == v for n, v in expected_total.items())
     ok = ok and count_all(5).reduced_count == 56
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         ok = ok and count_completions(PartialLatinSquare.empty(n)).count == expected_total[n]
+    for n in (1, 2, 3, 4):
+        ok = ok and _search_count(n, [0] * (n * n), None)[0] == expected_total[n]
     _report(5, "L(1..5) = 1, 2, 12, 576, 161280 and R(5) = 56, solver-cross-checked", ok, time.time() - t0, 60)
 
 

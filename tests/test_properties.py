@@ -1,17 +1,34 @@
-"""Property tests: the solver against the naive oracle, its witnesses and
-propagation, and completion counts under relabeling, on random partial
-squares of order <= 4; minimize_uc against the oracle on uniquely
-completable partial squares of order <= 5; and the solver against the
-row dynamic program of `enumeration` at orders 5 and 6."""
+"""Property tests: the solver and its search path against the naive
+oracle, its witnesses and propagation, and completion counts under
+relabeling and transposition, on random partial squares of order <= 4;
+minimize_uc against the oracle on uniquely completable partial squares
+of order <= 5; the search against the row dynamic program of
+`enumeration`, and uncapped counts against the search, at orders up to
+7; transposition again at orders 5 to 8; and grid text parsing on
+arbitrary input."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latincrit.constructions import random_latin_square
-from latincrit.core import LatinSquare, PartialLatinSquare, relabel, remove_entry, serialize
+from latincrit.core import (
+    GridError,
+    LatinSquare,
+    PartialLatinSquare,
+    parse_partial,
+    relabel,
+    remove_entry,
+    serialize,
+)
 from latincrit.criticality import minimize_uc
 from latincrit.enumeration import _count_by_rows
-from latincrit.solver import FIXED_POINT, count_completions, is_uniquely_completable, propagate
+from latincrit.solver import (
+    FIXED_POINT,
+    _search_count,
+    count_completions,
+    is_uniquely_completable,
+    propagate,
+)
 
 from oracle import naive_completions, naive_count
 
@@ -56,21 +73,50 @@ def uniquely_completable_squares(draw):
     return PartialLatinSquare(rows)
 
 
-# Most holes per order: up to these, a count takes at most tens of ms on
-# either side (an order-6 grid with 30 holes can take the solver seconds).
-MAX_HOLES = {5: 20, 6: 26}
+# Most holes per order: up to these, a search takes at most tens of ms
+# (an order-6 grid with 30 holes can take it seconds).
+MAX_HOLES = {5: 20, 6: 26, 7: 30, 8: 34}
 
 
 @st.composite
-def dense_subsets(draw):
-    """A random square of order 5 or 6 with a drawn number of cells emptied."""
-    n = draw(st.sampled_from(sorted(MAX_HOLES)))
+def dense_subsets(draw, orders=(5, 6, 7)):
+    """A random square of one of `orders` with a drawn number of cells emptied."""
+    n = draw(st.sampled_from(orders))
     square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
     cells = [v for row in square.grid for v in row]
     holes = draw(st.integers(0, MAX_HOLES[n]))
     for idx in draw(st.permutations(range(n * n)))[:holes]:
         cells[idx] = 0
     return n, cells
+
+
+def flat_partial_squares():
+    return partial_squares().map(lambda p: (p.order, [v for row in p.grid for v in row]))
+
+
+def _square(n, cells):
+    return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
+
+
+@st.composite
+def grid_texts(draw):
+    """Arbitrary text, or text shaped like a grid file of order <= 4, with
+    wrong orders, row counts, row lengths, tokens and separators mixed in."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text())
+    n = draw(st.integers(1, 4))
+    odd = st.one_of(st.sampled_from(["-1", "+2", "5", "10", "x", "1.0", "\u0663"]), st.text(max_size=2))
+    token = st.sampled_from([".", ".", "0"] + [str(v) for v in range(1, n + 1)])
+    if draw(st.booleans()):
+        token = st.one_of(token, odd)
+    head = draw(st.one_of(st.just(str(n)), odd)) if draw(st.integers(0, 4)) == 0 else str(n)
+    rows = []
+    for _ in range(n if draw(st.integers(0, 4)) else draw(st.integers(0, n + 1))):
+        length = n if draw(st.integers(0, 4)) else draw(st.integers(0, n + 1))
+        rows.append(draw(st.lists(token, min_size=length, max_size=length)))
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([head] + [sep.join(row) for row in rows]) + draw(st.sampled_from(["", newline, newline * 2]))
 
 
 @st.composite
@@ -88,12 +134,56 @@ def test_solver_count_matches_oracle(p):
     assert not report.capped
 
 
+@settings(max_examples=200, deadline=None)
+@given(partial_squares())
+def test_search_matches_oracle(p):
+    # count_completions reaches the search only when capped or from order
+    # 8 on, so the search path gets its own oracle check
+    n = p.order
+    cells = [v for row in p.grid for v in row]
+    count, flats = _search_count(n, cells, None)
+    ref = sorted(naive_completions(p), key=lambda grid: serialize(LatinSquare(grid)))
+    assert count == len(ref)
+    assert [_square(n, list(flat)).grid for flat in flats] == ref[:2]
+    assert _search_count(n, cells, 2)[0] == min(count, 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dense_subsets())
 def test_solver_count_matches_row_dynamic_program(case):
     n, cells = case
-    p = PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
-    assert count_completions(p).count == _count_by_rows(n, cells)
+    assert _search_count(n, cells, None)[0] == _count_by_rows(n, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(flat_partial_squares(), dense_subsets()))
+def test_uncapped_count_matches_search(case):
+    n, cells = case
+    report = count_completions(_square(n, cells))
+    count, flats = _search_count(n, cells, None)
+    assert report.count == count
+    assert not report.capped
+    assert [tuple(v for row in w.grid for v in row) for w in report.witnesses] == flats
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(flat_partial_squares(), dense_subsets(orders=(5, 6, 7, 8))))
+def test_transpose_preserves_completion_count(case):
+    n, cells = case
+    transposed = [cells[c * n + r] for r in range(n) for c in range(n)]
+    assert count_completions(_square(n, transposed)).count == count_completions(_square(n, cells)).count
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_texts())
+def test_grid_text_round_trips_or_raises_grid_error(text):
+    try:
+        p = parse_partial(text)
+    except GridError:
+        return
+    canonical = serialize(p)
+    assert parse_partial(canonical) == p
+    assert serialize(parse_partial(canonical)) == canonical
 
 
 @settings(max_examples=100, deadline=None)
