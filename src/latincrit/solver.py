@@ -5,13 +5,21 @@ tables: the symbols in each row and column (`row_used`, `col_used`), the
 rows and columns holding each symbol (`sym_rows`, `sym_cols`), and the
 empty cells of each row and column (`row_empty`, `col_empty`).  So every
 rule is a bit test: cell (r, c) may take `~(row_used[r] | col_used[c])`,
-and symbol v may go in row r at `row_empty[r] & ~sym_cols[v]`.  Each node
-first closes under forced moves, sweeping naked singles (one candidate
-left in a cell), then hidden singles in rows, then in columns (one cell
-left for a symbol), lowest index first, until a sweep fires nothing.  It
-then branches on a cell with the fewest candidates, ties broken in
-row-major order, symbols ascending, each branch on copies of the
-state, so counts, the capped flag, and witnesses are deterministic.
+and symbol v may go in row r at `row_empty[r] & ~sym_cols[v]`.
+
+Each node first closes under forced moves: naked singles (one candidate
+left in a cell) and hidden singles in rows and columns (one cell left
+for a symbol).  Propagation keeps bit masks of dirty rows, columns and
+symbols, those changed by a placement since the last fixed point, and
+re-checks only the rules that read them, one dirty item at a time.  The
+root starts with everything dirty; a branch starts with the row, column
+and symbol of the one placement that made it, since its parent was
+already at a fixed point.  Both rules only ever fire or fail more as
+cells fill, so every firing order reaches the same closure, and fails
+exactly when another order does.  The node then branches on a cell with
+the fewest candidates, ties broken in row-major order, symbols
+ascending, each branch on copies of the state, so counts, the capped
+flag, and witnesses are deterministic.
 
 Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
 They close the root under forced moves once, count with the row dynamic
@@ -61,23 +69,58 @@ class CompletionReport:
     witnesses: tuple[LatinSquare, ...]
 
 
-def _propagate_flat(n, cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty) -> bool:
+def _propagate_flat(n, cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty,
+                    rows=-1, cols=-1, syms=-1) -> bool:
     """Fill forced cells in place until no rule fires, updating every
     table.  Returns False on contradiction: an empty cell with no
     candidate, or a missing symbol with no admissible cell in its row or
-    column.  Placements inline `_place`: a call per forced cell costs
-    about 8% of counting time."""
+    column.
+
+    `rows`, `cols` and `syms` are bit masks of the dirty lines and
+    symbols (symbol v at bit v - 1): those changed since the grid was
+    last at a fixed point.  The default -1 marks everything dirty.  A
+    cell's candidates change only with its row and column, and a
+    symbol's admissible cells in a line only with that line and that
+    symbol, so only dirty items need checking.  The loop takes one dirty
+    item at a time and clears it: the lowest dirty row, else the lowest
+    dirty column, else the lowest dirty symbol.  A line is checked for
+    naked singles in all its empty cells and for hidden singles of all
+    its missing symbols; a symbol for hidden singles in every line that
+    misses it.  Each placement marks its row, column and symbol dirty
+    again, so an item is always checked after its last change, and the
+    loop stops when nothing is dirty.
+
+    The firing order does not change the outcome.  A move that fires on
+    a grid still fires on any larger grid reached by sound moves, unless
+    that grid already holds it or fails at the same cell or line, and a
+    failure stays a failure.  So any two orders place the same moves:
+    both end at the same fixed point, or both fail.  Where propagation
+    fails, the grid holds whatever was placed before it stopped.
+    Placements inline `_place`: a call per forced cell costs about 8% of
+    counting time."""
     full = (1 << n) - 1
-    changed = True
-    while changed:
-        changed = False
-        # naked singles
-        for r in range(n):
-            empty = row_empty[r]
-            while empty:
-                cbit = empty & -empty
-                empty ^= cbit
-                c = cbit.bit_length() - 1
+    rows &= full
+    cols &= full
+    syms &= full
+    while rows | cols | syms:
+        if rows | cols:
+            by_col = not rows
+            if by_col:
+                lbit = cols & -cols
+                cols ^= lbit
+            else:
+                lbit = rows & -rows
+                rows ^= lbit
+            line = lbit.bit_length() - 1
+            used, empty, holders = ((col_used, col_empty, sym_rows) if by_col
+                                    else (row_used, row_empty, sym_cols))
+            # naked singles in the line's empty cells
+            spots = empty[line]
+            while spots:
+                sbit = spots & -spots
+                spots ^= sbit
+                spot = sbit.bit_length() - 1
+                r, c = (spot, line) if by_col else (line, spot)
                 cand = full & ~(row_used[r] | col_used[c])
                 if cand == 0:
                     return False
@@ -87,20 +130,46 @@ def _propagate_flat(n, cells, row_used, col_used, sym_rows, sym_cols, row_empty,
                     row_used[r] |= cand
                     col_used[c] |= cand
                     sym_rows[v] |= 1 << r
-                    sym_cols[v] |= cbit
-                    row_empty[r] ^= cbit
+                    sym_cols[v] |= 1 << c
+                    row_empty[r] ^= 1 << c
                     col_empty[c] ^= 1 << r
-                    changed = True
-        # hidden singles in rows, then in columns
-        for by_col in (False, True):
-            used, empty, holders = ((col_used, col_empty, sym_rows) if by_col
-                                    else (row_used, row_empty, sym_cols))
-            for line in range(n):
-                missing = full & ~used[line]
-                while missing:
-                    bit = missing & -missing
-                    missing ^= bit
-                    v = bit.bit_length()
+                    rows |= 1 << r
+                    cols |= 1 << c
+                    syms |= cand
+            # hidden singles of the line's missing symbols
+            missing = full & ~used[line]
+            while missing:
+                bit = missing & -missing
+                missing ^= bit
+                v = bit.bit_length()
+                spots = empty[line] & ~holders[v]
+                if spots == 0:
+                    return False
+                if spots & (spots - 1) == 0:
+                    spot = spots.bit_length() - 1
+                    r, c = (spot, line) if by_col else (line, spot)
+                    cells[r * n + c] = v
+                    row_used[r] |= bit
+                    col_used[c] |= bit
+                    sym_rows[v] |= 1 << r
+                    sym_cols[v] |= 1 << c
+                    row_empty[r] ^= 1 << c
+                    col_empty[c] ^= 1 << r
+                    rows |= 1 << r
+                    cols |= 1 << c
+                    syms |= bit
+        else:
+            bit = syms & -syms
+            syms ^= bit
+            v = bit.bit_length()
+            # hidden singles of symbol v in each row, then each column, missing it
+            for by_col in (False, True):
+                lines, empty, holders = ((full & ~sym_cols[v], col_empty, sym_rows) if by_col
+                                         else (full & ~sym_rows[v], row_empty, sym_cols))
+                while lines:
+                    lbit = lines & -lines
+                    lines ^= lbit
+                    line = lbit.bit_length() - 1
                     spots = empty[line] & ~holders[v]
                     if spots == 0:
                         return False
@@ -114,7 +183,9 @@ def _propagate_flat(n, cells, row_used, col_used, sym_rows, sym_cols, row_empty,
                         sym_cols[v] |= 1 << c
                         row_empty[r] ^= 1 << c
                         col_empty[c] ^= 1 << r
-                        changed = True
+                        rows |= 1 << r
+                        cols |= 1 << c
+                        syms |= bit
     return True
 
 
@@ -133,11 +204,22 @@ def _place(n: int, state: list, r: int, c: int, v: int):
 def _state(n: int, cells) -> list:
     """A copy of the flat grid `cells` and the six tables that describe it."""
     full = (1 << n) - 1
-    state = [[0] * (n * n), [0] * n, [0] * n, [0] * (n + 1), [0] * (n + 1), [full] * n, [full] * n]
-    for idx, v in enumerate(cells):
-        if v:
-            _place(n, state, *divmod(idx, n), v)
-    return state
+    cells = list(cells)
+    row_used, col_used = [0] * n, [0] * n
+    sym_rows, sym_cols = [0] * (n + 1), [0] * (n + 1)
+    row_empty, col_empty = [full] * n, [full] * n
+    for r in range(n):
+        rbit = 1 << r
+        for c, v in enumerate(cells[r * n : (r + 1) * n]):
+            if v:
+                bit, cbit = 1 << (v - 1), 1 << c
+                row_used[r] |= bit
+                col_used[c] |= bit
+                sym_rows[v] |= rbit
+                sym_cols[v] |= cbit
+                row_empty[r] ^= cbit
+                col_empty[c] ^= rbit
+    return [cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty]
 
 
 class _Counter:
@@ -168,9 +250,9 @@ class _Counter:
             best[1] = (key, witness)
             best.sort()
 
-    def search(self, state: list):
+    def search(self, state: list, rows=-1, cols=-1, syms=-1):
         n = self.n
-        if not _propagate_flat(n, *state):
+        if not _propagate_flat(n, *state, rows, cols, syms):
             return
         cells, row_used, col_used, _, _, row_empty, _ = state
         full = (1 << n) - 1
@@ -200,7 +282,8 @@ class _Counter:
             cand ^= bit
             branch = list(map(list.copy, state))
             _place(n, branch, best_r, best_c, bit.bit_length())
-            self.search(branch)
+            # the parent is at a fixed point: only this placement is new
+            self.search(branch, 1 << best_r, 1 << best_c, bit)
             if self.cap is not None and self.count >= self.cap:
                 return
 
@@ -233,7 +316,9 @@ def _count_flat(n: int, cells: list, cap) -> tuple[int, list]:
 
 def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:
     """Closure of `p` under forced moves, with FIXED_POINT or
-    CONTRADICTION status.  The completion set is unchanged either way."""
+    CONTRADICTION status.  The completion set is unchanged either way.
+    On a contradiction the grid is wherever propagation stopped, which
+    depends on the order rules fire in; a fixed point does not."""
     n = p.order
     state = _state(n, [v for row in p.grid for v in row])
     ok = _propagate_flat(n, *state)

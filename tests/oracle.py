@@ -1,9 +1,11 @@
-"""Naive reference enumerator, independent of the package solver.
+"""Naive reference enumerator and propagation, independent of the package
+solver.
 
 Cell-by-cell exhaustive search in fixed row-major order with set-based
 candidate scans: no bitmasks, no propagation, no cell-choice heuristic.
-Slow but obviously correct; used to derive and cross-check expected
-values for the real solver and enumerator.
+Propagation is full sweeps over sets.  Slow but obviously correct; used
+to derive and cross-check expected values for the real solver and
+enumerator.
 """
 
 from types import SimpleNamespace
@@ -41,6 +43,50 @@ def naive_completions(p, limit=None):
 
 def naive_count(p, limit=None):
     return len(naive_completions(p, limit))
+
+
+def naive_propagate(p):
+    """Closure of partial square `p` under forced moves: (grid as tuples of
+    row tuples, "fixed-point" or "contradiction").  Each sweep visits the
+    empty cells in row-major order for naked singles (one candidate
+    left), then the rows, then the columns for hidden singles (one cell
+    left for a missing symbol, symbols ascending), placing each forced
+    symbol at once; sweeps repeat until one places nothing.  A cell with
+    no candidate, or a missing symbol with no cell, is a contradiction."""
+    n = p.order
+    grid = [list(row) for row in p.grid]
+    symbols = set(range(1, n + 1))
+
+    def free(r, c):
+        return symbols - set(grid[r]) - {grid[i][c] for i in range(n)}
+
+    def result(status):
+        return tuple(tuple(row) for row in grid), status
+
+    changed = True
+    while changed:
+        changed = False
+        for r in range(n):
+            for c in range(n):
+                if grid[r][c] == 0:
+                    cand = free(r, c)
+                    if not cand:
+                        return result("contradiction")
+                    if len(cand) == 1:
+                        grid[r][c] = cand.pop()
+                        changed = True
+        for line_cells in ([[(r, c) for c in range(n)] for r in range(n)],
+                           [[(r, c) for r in range(n)] for c in range(n)]):
+            for line in line_cells:
+                for v in sorted(symbols - {grid[r][c] for r, c in line}):
+                    spots = [(r, c) for r, c in line if grid[r][c] == 0 and v in free(r, c)]
+                    if not spots:
+                        return result("contradiction")
+                    if len(spots) == 1:
+                        r, c = spots[0]
+                        grid[r][c] = v
+                        changed = True
+    return result("fixed-point")
 
 
 def naive_is_latin(rows):

@@ -1,6 +1,7 @@
 """Property tests: the solver and its search path against the naive
 oracle, its witnesses and propagation, and completion counts under
 relabeling and transposition, on random partial squares of order <= 4;
+propagation against the oracle's full sweeps at orders up to 8;
 minimize_uc against the oracle on uniquely completable partial squares
 of order <= 5; the search against the row dynamic program of
 `enumeration`, and uncapped counts against the search, at orders up to
@@ -10,6 +11,7 @@ arbitrary input."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latincrit import solver
 from latincrit.constructions import random_latin_square
 from latincrit.core import (
     GridError,
@@ -23,6 +25,7 @@ from latincrit.core import (
 from latincrit.criticality import minimize_uc
 from latincrit.enumeration import _count_by_rows
 from latincrit.solver import (
+    CONTRADICTION,
     FIXED_POINT,
     _search_count,
     count_completions,
@@ -30,17 +33,17 @@ from latincrit.solver import (
     propagate,
 )
 
-from oracle import naive_completions, naive_count
+from oracle import naive_completions, naive_count, naive_propagate
 
 MAX_ORDER = 4
 
 
 @st.composite
-def partial_squares(draw):
+def partial_squares(draw, max_order=MAX_ORDER):
     """Either a random subset of a complete square (always completable),
     or symbols dropped into cells one by one, skipping any that would
     repeat in its row or column (often not completable)."""
-    n = draw(st.integers(1, MAX_ORDER))
+    n = draw(st.integers(1, max_order))
     if draw(st.booleans()):
         square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
         keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
@@ -90,8 +93,21 @@ def dense_subsets(draw, orders=(5, 6, 7)):
     return n, cells
 
 
-def flat_partial_squares():
-    return partial_squares().map(lambda p: (p.order, [v for row in p.grid for v in row]))
+@st.composite
+def half_empty_subsets(draw):
+    """A random square of order 5 to 8 with at least half of its cells
+    emptied, which forced moves seldom complete."""
+    n = draw(st.integers(5, 8))
+    square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
+    cells = [v for row in square.grid for v in row]
+    holes = draw(st.integers(n * n // 2, n * n))
+    for idx in draw(st.permutations(range(n * n)))[:holes]:
+        cells[idx] = 0
+    return n, cells
+
+
+def flat_partial_squares(max_order=MAX_ORDER):
+    return partial_squares(max_order).map(lambda p: (p.order, [v for row in p.grid for v in row]))
 
 
 def _square(n, cells):
@@ -208,9 +224,45 @@ def test_propagate_is_idempotent_and_keeps_completions(p):
     assert naive_count(out) == naive_count(p)
     again, status_again = propagate(out)
     assert status_again == status
-    # a contradiction stops mid-sweep, so only a fixed point must repeat exactly
+    # a contradiction stops wherever propagation got to, so only a fixed
+    # point must repeat exactly
     if status == FIXED_POINT:
         assert again == out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flat_partial_squares(max_order=8), half_empty_subsets()), st.data())
+def test_propagation_matches_naive_sweeps(case, data):
+    # forced moves reach one closure in any firing order, so checking only
+    # dirty lines and symbols must agree with plain full sweeps on the
+    # status, and on the grid unless propagation stopped at a contradiction
+    n, cells = case
+    p = _square(n, cells)
+    out, status = propagate(p)
+    grid, naive_status = naive_propagate(p)
+    assert status == naive_status
+    if status == CONTRADICTION:
+        return
+    assert out.grid == grid
+    if out.is_complete():
+        return
+    # the branches of a search node: each candidate of one cell placed on
+    # the fixed point, with only its row, column and symbol marked dirty
+    fixed = [v for row in grid for v in row]
+    idx = data.draw(st.sampled_from([i for i, v in enumerate(fixed) if not v]))
+    r, c = divmod(idx, n)
+    taken = fixed[r * n : (r + 1) * n] + fixed[c::n]
+    for v in range(1, n + 1):
+        if v in taken:
+            continue
+        branch = fixed.copy()
+        branch[idx] = v
+        state = solver._state(n, branch)
+        ok = solver._propagate_flat(n, *state, 1 << r, 1 << c, 1 << (v - 1))
+        grid, naive_status = naive_propagate(_square(n, branch))
+        assert (FIXED_POINT if ok else CONTRADICTION) == naive_status
+        if ok:
+            assert _square(n, state[0]).grid == grid
 
 
 @settings(max_examples=100, deadline=None)

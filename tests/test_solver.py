@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from latincrit import solver
 from latincrit.core import LatinSquare, PartialLatinSquare, remove_entry, serialize
 from latincrit.constructions import (
     all_but_first_row_col,
     back_circulant,
     classic_5x5,
+    nelder_triangle,
     random_latin_square,
 )
+from latincrit.criticality import minimize_uc, verify_critical
 from latincrit.solver import (
     CONTRADICTION,
     FIXED_POINT,
@@ -192,3 +195,52 @@ def test_unique_completion_rejects_unsatisfiable():
     with pytest.raises(NotUniqueError) as exc:
         unique_completion(PartialLatinSquare(CONTRADICTION_3X3))
     assert exc.value.count == 0
+
+
+# Search nodes (calls to solver._propagate_flat) of each _search_count
+# call, recorded with propagation by plain full sweeps.  Any firing order
+# of forced moves reaches the same closure, so the search trees, and with
+# them the capped witnesses, must not depend on how propagation is
+# scheduled.
+# verify_critical(nelder_triangle(8)): the cap-2 check of the whole set,
+# then one per removed entry.
+NELDER_8_VERIFY_NODES = [1, 3, 8, 10, 8, 9, 8, 3, 8, 9, 10, 9, 8, 8, 10, 8, 9, 8, 10, 8, 9, 10,
+                         9, 10, 9, 8, 8, 7, 3]
+# minimize_uc(random_latin_square(8, 0)): the cap-2 check, then its cap-1 calls.
+MINIMIZE_8_NODES = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 2, 1, 2, 2, 1, 4, 2, 2, 1, 1, 1,
+                    2, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2, 5, 3, 3, 5, 2]
+# Uncapped: random_latin_square(8, seed) with 38 cells emptied, chosen by
+# random.Random(seed); (count, nodes) for seeds 0-3.
+UNCAPPED_8_COUNT_NODES = [(199, 407), (80, 167), (30, 59), (324, 665)]
+
+
+def _nodes_per_search(monkeypatch, run):
+    """Calls run() and returns its result and the search-node count of
+    each _search_count call it made."""
+    nodes = []
+    propagate_flat, search_count = solver._propagate_flat, solver._search_count
+
+    def counted_propagate(*args):
+        nodes[-1] += 1
+        return propagate_flat(*args)
+
+    def counted_search(*args):
+        nodes.append(0)
+        return search_count(*args)
+
+    monkeypatch.setattr(solver, "_propagate_flat", counted_propagate)
+    monkeypatch.setattr(solver, "_search_count", counted_search)
+    return run(), nodes
+
+
+def test_search_trees_are_frozen(monkeypatch):
+    _, nodes = _nodes_per_search(monkeypatch, lambda: verify_critical(nelder_triangle(8)))
+    assert nodes == NELDER_8_VERIFY_NODES
+    _, nodes = _nodes_per_search(monkeypatch, lambda: minimize_uc(random_latin_square(8, 0)))
+    assert nodes == MINIMIZE_8_NODES
+    for seed, (count, search_nodes) in enumerate(UNCAPPED_8_COUNT_NODES):
+        cells = [v for row in random_latin_square(8, seed).grid for v in row]
+        for idx in random.Random(seed).sample(range(64), 38):
+            cells[idx] = 0
+        (found, _), nodes = _nodes_per_search(monkeypatch, lambda: solver._search_count(8, cells, None))
+        assert (found, nodes) == (count, [search_nodes])
