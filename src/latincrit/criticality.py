@@ -13,7 +13,10 @@ are the minimal Latin trades in L, and the critical sets of L are
 exactly the minimal transversals of that trade hypergraph (Keedwell
 2004).  Listing every square of order n gives the trades directly, and
 MMCS (Murakami & Uno 2014) lists the transversals without calling the
-solver.
+solver.  Isotopisms (row, column and symbol permutations) carry critical
+sets to critical sets of the same size, so exhaustive lcs lists them for
+one square per isotopy class: 2 classes at order 4 and at order 5, out
+of 4 and 56 reduced squares.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, NamedTuple
 
-from .core import LatinSquare, PartialLatinSquare, Triple
+from .core import LatinSquare, PartialLatinSquare, Triple, relabel
 from .enumeration import iter_reduced
 from .solver import NotUniqueError, _count_flat, count_completions
 
 # Known largest-critical-set values for small orders, and published lower
-# bounds where the exact value is open.  lcs(8) = 4^3 - 3^3.
+# bounds where the exact value is open.  lcs(8) = 4^3 - 3^3.  Orders 1..5
+# are recomputed by lcs_exhaustive (order 5 in CI); KNOWN_LCS[6] and the
+# lower bounds are cited from the literature, not computed here.
 KNOWN_LCS = {1: 0, 2: 1, 3: 3, 4: 7, 5: 11, 6: 18}
 KNOWN_LCS_LOWER_BOUNDS = {7: 25, 8: 37, 9: 44, 10: 57}
 
@@ -241,17 +246,87 @@ def largest_critical_in(l: LatinSquare, allow_large: bool = False) -> LargestCri
     return LargestCritical(len(witness), PartialLatinSquare.from_triples(l.order, witness))
 
 
+def _intercalates(l: LatinSquare) -> int:
+    """Number of 2x2 subsquares, an isotopy invariant."""
+    g, n = l.grid, l.order
+    return sum(
+        g[r][c] == g[s][d] and g[r][d] == g[s][c]
+        for r in range(n) for s in range(r + 1, n) for c in range(n) for d in range(c + 1, n)
+    )
+
+
+def _isotopism(a: LatinSquare, b: LatinSquare):
+    """An isotopism carrying a onto b as relabel's (row_perm, col_perm,
+    sym_perm), or None.  Tries every row and column order of a; the
+    symbol map is then read off the first row."""
+    n = a.order
+    target = bytes(v for row in b.grid for v in row)
+    for cols in permutations(range(n)):
+        moved = [bytes(row[c] for c in cols) for row in a.grid]
+        for rows in permutations(range(n)):
+            flat = b"".join([moved[r] for r in rows])
+            if flat.translate(bytes.maketrans(flat[:n], target[:n])) == target:
+                return ([rows.index(i) for i in range(n)], [cols.index(i) for i in range(n)],
+                        [target[flat.index(s)] - 1 for s in range(1, n + 1)])
+    return None
+
+
+def _isotopy_classes(squares: list) -> list:
+    """Sort squares into isotopy classes, each a (representative, members)
+    pair with members as (square, isotopism from the representative).
+    Squares are bucketed by intercalate count before any search; a lone
+    square (orders 1 to 3) is not even counted."""
+    identity = list(range(squares[0].order))
+    buckets: dict[int, list] = {}
+    for s in squares:
+        bucket = buckets.setdefault(_intercalates(s) if len(squares) > 1 else 0, [])
+        for rep, members in bucket:
+            iso = _isotopism(rep, s)
+            if iso is not None:
+                members.append((s, iso))
+                break
+        else:
+            bucket.append((s, [(s, (identity,) * 3)]))
+    return [c for bucket in buckets.values() for c in bucket]
+
+
+def _largest_critical_sets(l: LatinSquare, squares: list) -> list:
+    """The critical sets of l of the largest size, in MMCS order."""
+    sets = list(_critical_sets(l, squares))
+    top = max(map(len, sets))
+    return [c for c in sets if len(c) == top]
+
+
+def _carry(c: tuple[Triple, ...], iso) -> tuple[Triple, ...]:
+    """The image of a set of row-major triples under an isotopism."""
+    return relabel(PartialLatinSquare.from_triples(len(iso[0]), c), *iso).triples()
+
+
 def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
     """Largest critical set size over all squares of order n, exactly.
+    The witness is the first set under _largest_first among the critical
+    sets of every reduced square.
 
-    Row, column, and symbol relabelings map critical sets to critical
-    sets bijectively and carry any square to a reduced one, so the
-    maximum over reduced squares equals the maximum over all squares.
+    Row, column, and symbol relabelings (isotopisms) carry any square to
+    a reduced one and are size-preserving bijections between the critical
+    sets of two squares, so the trade hypergraph of one representative
+    per isotopy class suffices.  The representative's autotopisms permute
+    its own critical sets, so any single isotopism maps its largest sets
+    onto exactly the largest sets of a class member.  Only sets of the
+    global maximum size can be the witness, so the representative's
+    largest sets, carried onto every reduced member, hold it.
     """
     _check_exhaustive_order(n, allow_large)
     squares = _all_squares(n)
+    largest = [(_largest_critical_sets(rep, squares), rep, members)
+               for rep, members in _isotopy_classes(list(iter_reduced(n)))]
+    value = max(len(sets[0]) for sets, _, _ in largest)
     witness, square = min(
-        ((c, s) for s in iter_reduced(n) for c in _critical_sets(s, squares)),
+        (
+            (c if member is rep else _carry(c, iso), member)
+            for sets, rep, members in largest if len(sets[0]) == value
+            for member, iso in members for c in sets
+        ),
         key=lambda cs: _largest_first(cs[0]),
     )
-    return LcsRecord(n, len(witness), square, PartialLatinSquare.from_triples(n, witness))
+    return LcsRecord(n, value, square, PartialLatinSquare.from_triples(n, witness))

@@ -3,9 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import latincrit
 from latincrit.cli import main
 from latincrit.core import parse_partial, serialize
+from latincrit.criticality import KNOWN_LCS, verify_critical
 from latincrit.constructions import back_circulant, classic_5x5, nelder_triangle
 
 
@@ -61,8 +64,6 @@ def test_complete_cap_1_on_ambiguous_grid_prints_no_completion(tmp_path, capsys)
 
 
 def test_minimize_emits_critical_subset(tmp_path, capsys):
-    from latincrit.criticality import verify_critical
-
     path = write_grid(tmp_path, "full4.lsq", back_circulant(4))
     code, out, _ = run(capsys, "minimize", path)
     assert code == 0
@@ -76,19 +77,43 @@ def test_minimize_rejects_ambiguous_input(tmp_path, capsys):
     assert "not uniquely completable" in err
 
 
+# Full stdout of `latincrit lcs n`, frozen: the witness is the first
+# largest set, by its triple tuple, over every reduced square.
+LCS_STDOUT = {
+    1: "lcs(1) = 0\nwitness square:\n1\n1\nwitness set:\n1\n.\n",
+    2: "lcs(2) = 1\nwitness square:\n2\n1 2\n2 1\nwitness set:\n2\n1 .\n. .\n",
+    3: "lcs(3) = 3\nwitness square:\n3\n1 2 3\n2 3 1\n3 1 2\nwitness set:\n3\n1 2 .\n2 . .\n. . .\n",
+    4: (
+        "lcs(4) = 7\nwitness square:\n4\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n"
+        "witness set:\n4\n1 2 3 .\n2 1 . .\n3 . 1 .\n. . . .\n"
+    ),
+}
+
+# Stdout of `latincrit lcs 5 --allow-large` (about 13 s), frozen; CI
+# recomputes it and compares.
+LCS_5_STDOUT = Path(__file__).parent / "data" / "lcs_5_allow_large.out"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lcs_exhaustive_small_orders(capsys, n):
+    assert run(capsys, "lcs", str(n), "--exhaustive") == (0, LCS_STDOUT[n], "")
+
+
 def test_lcs_exhaustive_4(capsys):
-    code, out, _ = run(capsys, "lcs", "4", "--exhaustive")
-    assert code == 0
-    assert "lcs(4) = 7" in out
-    square_text = out.split("witness square:\n", 1)[1].split("witness set:\n", 1)[0]
-    set_text = out.split("witness set:\n", 1)[1]
-    assert parse_partial(square_text).is_complete()
-    assert parse_partial(set_text).size == 7
+    assert run(capsys, "lcs", "4", "--exhaustive") == (0, LCS_STDOUT[4], "")
+
+
+def test_lcs_5_pinned_stdout_names_the_known_value():
+    text = LCS_5_STDOUT.read_text()
+    assert text.splitlines()[0] == f"lcs(5) = {KNOWN_LCS[5]}"
+    square_text = text.split("witness square:\n", 1)[1].split("witness set:\n", 1)[0]
+    witness = parse_partial(text.split("witness set:\n", 1)[1])
+    assert witness.size == KNOWN_LCS[5]
+    rep = verify_critical(witness)
+    assert rep.critical and rep.completion == parse_partial(square_text)
 
 
 def test_lcs_heuristic_reports_lower_bound(capsys):
-    from latincrit.criticality import verify_critical
-
     code, out, _ = run(capsys, "lcs", "5", "--heuristic", "--starts", "4")
     assert code == 0
     assert "heuristic lower bound" in out

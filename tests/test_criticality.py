@@ -14,7 +14,13 @@ from latincrit.constructions import (
 from latincrit.criticality import (
     KNOWN_LCS,
     _all_squares,
+    _carry,
     _critical_sets,
+    _intercalates,
+    _isotopism,
+    _isotopy_classes,
+    _largest_critical_sets,
+    _largest_first,
     largest_critical_in,
     lcs_exhaustive,
     minimize_uc,
@@ -262,6 +268,53 @@ def test_lcs_4_and_its_extremal_square():
     # the per-square maximum on the extremal square agrees
     res = largest_critical_in(rec.witness_square)
     assert res.size == 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lcs_matches_the_scan_over_every_reduced_square(n):
+    # the scan lcs_exhaustive replaced: every critical set of every
+    # reduced square, the first under _largest_first as the witness
+    squares = _all_squares(n)
+    witness, square = min(
+        ((c, s) for s in iter_reduced(n) for c in _critical_sets(s, squares)),
+        key=lambda cs: _largest_first(cs[0]),
+    )
+    rec = lcs_exhaustive(n)
+    assert rec.value == len(witness)
+    assert rec.witness_square == square
+    assert rec.witness_set.triples() == witness
+
+
+@pytest.mark.parametrize(
+    "n, classes",
+    [
+        # the Klein square alone, and the class of the cyclic group
+        (4, [(1, 12), (3, 4)]),
+        (5, [(50, 4), (6, 0)]),
+    ],
+)
+def test_isotopy_classes_of_reduced_squares(n, classes):
+    found = _isotopy_classes(list(iter_reduced(n)))
+    assert [(len(members), _intercalates(rep)) for rep, members in found] == classes
+    for rep, members in found:
+        assert members[0][0] == rep
+        for member, iso in members:
+            assert relabel(rep, *iso) == member
+
+
+def test_isotopisms_carry_largest_critical_sets_onto_the_members():
+    squares = _all_squares(4)
+    for rep, members in _isotopy_classes(list(iter_reduced(4))):
+        sets = _largest_critical_sets(rep, squares)
+        for member, iso in members:
+            assert sorted(_carry(c, iso) for c in sets) == sorted(_largest_critical_sets(member, squares))
+
+
+def test_klein_square_is_not_isotopic_to_the_cyclic_square():
+    klein = LatinSquare([[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
+    assert _isotopism(klein, back_circulant(4)) is None
+    assert _isotopism(back_circulant(4), klein) is None
+    assert relabel(klein, *_isotopism(klein, klein)) == klein
 
 
 def test_lcs_rejects_big_orders():

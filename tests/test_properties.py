@@ -3,7 +3,8 @@ oracle, its witnesses and propagation, and completion counts under
 relabeling and transposition, on random partial squares of order <= 4;
 propagation against the oracle's full sweeps at orders up to 8;
 minimize_uc against the oracle on uniquely completable partial squares
-of order <= 5; the search against the row dynamic program of
+of order <= 5; criticality under relabeling and transposition at
+orders up to 6; the search against the row dynamic program of
 `enumeration`, and uncapped counts against the search, at orders up to
 7; transposition again at orders 5 to 8; and grid text parsing on
 arbitrary input."""
@@ -22,7 +23,7 @@ from latincrit.core import (
     remove_entry,
     serialize,
 )
-from latincrit.criticality import minimize_uc
+from latincrit.criticality import minimize_uc, verify_critical
 from latincrit.enumeration import _count_by_rows
 from latincrit.solver import (
     CONTRADICTION,
@@ -277,3 +278,31 @@ def test_minimize_uc_gives_a_critical_subset_with_the_same_completion(p, removal
         assert naive_count(remove_entry(c, (t.row, t.col)), limit=2) == 2
     # critical sets are fixed points, the monotonicity behind one pass
     assert minimize_uc(c, removal_order, seed) == c
+
+
+
+@st.composite
+def critical_sets_and_relabelings(draw):
+    """A random-order minimize_uc critical set of a random square of
+    order <= 6, that square, and three permutations for relabel."""
+    n = draw(st.integers(1, 6))
+    square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
+    c = minimize_uc(square, "random", draw(st.integers(0, 100)))
+    return c, square, [draw(st.permutations(range(n))) for _ in range(3)]
+
+
+def _transpose(p):
+    return p.__class__(zip(*p.grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(critical_sets_and_relabelings())
+def test_isotopic_images_and_transposes_of_critical_sets_are_critical(case):
+    # the fact exhaustive lcs rests on: an isotopism (and the transpose)
+    # carries a critical set of L to a critical set of the image of L
+    c, square, perms = case
+    for image, completion in ((relabel(c, *perms), relabel(square, *perms)), (_transpose(c), _transpose(square))):
+        report = verify_critical(image)
+        assert report.critical
+        assert report.completion == completion
+        assert image.size == c.size
