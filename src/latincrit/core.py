@@ -21,7 +21,8 @@ MAX_ORDER = 31
 
 class GridError(ValueError):
     """Malformed grid: bad dimensions, out-of-range symbol, row/column
-    duplicate, or an edit that does not apply."""
+    duplicate, a cell outside the grid or assigned twice, or a relabeling
+    by a map that is not a permutation."""
 
 
 class Triple(NamedTuple):
@@ -196,30 +197,6 @@ def serialize(p: PartialLatinSquare) -> str:
     return "\n".join(lines) + "\n"
 
 
-def remove_entry(p: PartialLatinSquare, cell: tuple[int, int]) -> PartialLatinSquare:
-    """Copy of `p` with the given 1-indexed cell emptied."""
-    row, col = cell
-    if not (1 <= row <= p.order and 1 <= col <= p.order):
-        raise GridError(f"cell ({row},{col}) outside order-{p.order} grid")
-    if p.grid[row - 1][col - 1] == 0:
-        raise GridError(f"cell ({row},{col}) is already empty")
-    rows = [list(r) for r in p.grid]
-    rows[row - 1][col - 1] = 0
-    return PartialLatinSquare(rows)
-
-
-def with_entry(p: PartialLatinSquare, triple: Triple | tuple) -> PartialLatinSquare:
-    """Copy of `p` with one more entry; rejects overwrites and conflicts."""
-    row, col, sym = triple
-    if not (1 <= row <= p.order and 1 <= col <= p.order):
-        raise GridError(f"cell ({row},{col}) outside order-{p.order} grid")
-    if p.grid[row - 1][col - 1] != 0:
-        raise GridError(f"cell ({row},{col}) is already filled")
-    rows = [list(r) for r in p.grid]
-    rows[row - 1][col - 1] = sym
-    return PartialLatinSquare(rows)
-
-
 def relabel(
     p: PartialLatinSquare,
     row_perm: Sequence[int],
@@ -229,8 +206,13 @@ def relabel(
     """Apply row, column, and symbol permutations (0-indexed images):
     cell (i, j) holding s moves to (row_perm[i], col_perm[j]) holding
     sym_perm[s-1]+1.  Preserves the Latin property, size, and criticality.
+    Raises GridError unless each of the three maps is a permutation of
+    0..n-1.
     """
     n = p.order
+    for name, perm in (("row", row_perm), ("column", col_perm), ("symbol", sym_perm)):
+        if sorted(perm) != list(range(n)):
+            raise GridError(f"{name} map {list(perm)} is not a permutation of 0..{n - 1}")
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

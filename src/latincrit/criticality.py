@@ -16,7 +16,8 @@ MMCS (Murakami & Uno 2014) lists the transversals without calling the
 solver.  Isotopisms (row, column and symbol permutations) carry critical
 sets to critical sets of the same size, so exhaustive lcs lists them for
 one square per isotopy class: 2 classes at order 4 and at order 5, out
-of 4 and 56 reduced squares.
+of 4 and 56 reduced squares.  A class is found as the orbit of one
+reduced square (McKay, Meynert & Myrvold 2007), with no pairwise search.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .core import LatinSquare, PartialLatinSquare, Triple, relabel
 from .enumeration import iter_reduced
@@ -70,11 +71,6 @@ class CriticalityReport:
     def violations(self) -> tuple[Triple, ...]:
         """Removable entries; empty exactly when the set is minimal."""
         return tuple(ch.triple for ch in self.removal_checks if ch.still_unique)
-
-
-class LargestCritical(NamedTuple):
-    size: int
-    witness: PartialLatinSquare
 
 
 @dataclass(frozen=True)
@@ -229,12 +225,7 @@ def _critical_sets(l: LatinSquare, squares: list) -> Iterator[tuple[Triple, ...]
         yield tuple([t for i, t in enumerate(triples) if mask >> i & 1])
 
 
-def _largest_first(c: tuple[Triple, ...]):
-    """Witness order: larger sets first, then smaller triple tuples."""
-    return -len(c), c
-
-
-def largest_critical_in(l: LatinSquare, allow_large: bool = False) -> LargestCritical:
+def largest_critical_in(l: LatinSquare, allow_large: bool = False) -> PartialLatinSquare:
     """Largest critical set inside one square, exactly.
 
     Lists the critical sets of l as the minimal transversals of its
@@ -242,52 +233,51 @@ def largest_critical_in(l: LatinSquare, allow_large: bool = False) -> LargestCri
     and returns a largest one, ties broken by the smallest triple tuple.
     """
     _check_exhaustive_order(l.order, allow_large)
-    witness = min(_critical_sets(l, _all_squares(l.order)), key=_largest_first)
-    return LargestCritical(len(witness), PartialLatinSquare.from_triples(l.order, witness))
-
-
-def _intercalates(l: LatinSquare) -> int:
-    """Number of 2x2 subsquares, an isotopy invariant."""
-    g, n = l.grid, l.order
-    return sum(
-        g[r][c] == g[s][d] and g[r][d] == g[s][c]
-        for r in range(n) for s in range(r + 1, n) for c in range(n) for d in range(c + 1, n)
-    )
-
-
-def _isotopism(a: LatinSquare, b: LatinSquare):
-    """An isotopism carrying a onto b as relabel's (row_perm, col_perm,
-    sym_perm), or None.  Tries every row and column order of a; the
-    symbol map is then read off the first row."""
-    n = a.order
-    target = bytes(v for row in b.grid for v in row)
-    for cols in permutations(range(n)):
-        moved = [bytes(row[c] for c in cols) for row in a.grid]
-        for rows in permutations(range(n)):
-            flat = b"".join([moved[r] for r in rows])
-            if flat.translate(bytes.maketrans(flat[:n], target[:n])) == target:
-                return ([rows.index(i) for i in range(n)], [cols.index(i) for i in range(n)],
-                        [target[flat.index(s)] - 1 for s in range(1, n + 1)])
-    return None
+    witness = min(_largest_critical_sets(l, _all_squares(l.order)))
+    return PartialLatinSquare.from_triples(l.order, witness)
 
 
 def _isotopy_classes(squares: list) -> list:
-    """Sort squares into isotopy classes, each a (representative, members)
-    pair with members as (square, isotopism from the representative).
-    Squares are bucketed by intercalate count before any search; a lone
-    square (orders 1 to 3) is not even counted."""
-    identity = list(range(squares[0].order))
-    buckets: dict[int, list] = {}
-    for s in squares:
-        bucket = buckets.setdefault(_intercalates(s) if len(squares) > 1 else 0, [])
-        for rep, members in bucket:
-            iso = _isotopism(rep, s)
-            if iso is not None:
-                members.append((s, iso))
+    """Sort the reduced squares of one order (all of them) into isotopy
+    classes, each a (representative, members) pair with members as
+    (square, isotopism from the representative) in input order, the
+    representative first.  Isotopisms are relabel's (row_perm, col_perm,
+    sym_perm).
+
+    A class is the orbit of its first square under row, column and symbol
+    permutations.  A column order and a choice of first row fix the symbol
+    map, since the first row must read 1..n; sorting the rows by their
+    first entry then gives a reduced member.  So n!*n images walk an orbit,
+    and the walk stops once every square is placed."""
+    n = squares[0].order
+    identity = list(range(n))
+    natural = bytes(range(1, n + 1))
+    index = {b"".join(map(bytes, s.grid)): k for k, s in enumerate(squares)}
+    owner = [None] * len(squares)  # per square: (class number, isotopism)
+    left = len(squares)
+    reps = []
+    for k, rep in enumerate(squares):
+        if owner[k]:
+            continue
+        owner[k] = (len(reps), (identity,) * 3)
+        reps.append(rep)
+        left -= 1
+        for cols in permutations(range(n)):
+            if not left:
                 break
-        else:
-            bucket.append((s, [(s, (identity,) * 3)]))
-    return [c for bucket in buckets.values() for c in bucket]
+            moved = [bytes([row[c] for c in cols]) for row in rep.grid]
+            for first in moved:
+                table = bytes.maketrans(first, natural)
+                m = index[b"".join(sorted([row.translate(table) for row in moved]))]
+                if owner[m] is None:
+                    sym = [first.index(v) for v in natural]
+                    rows = [sym[row[0] - 1] for row in moved]
+                    owner[m] = (len(reps) - 1, (rows, [cols.index(c) for c in identity], sym))
+                    left -= 1
+    classes = [(rep, []) for rep in reps]
+    for s, (number, iso) in zip(squares, owner):
+        classes[number][1].append((s, iso))
+    return classes
 
 
 def _largest_critical_sets(l: LatinSquare, squares: list) -> list:
@@ -304,7 +294,7 @@ def _carry(c: tuple[Triple, ...], iso) -> tuple[Triple, ...]:
 
 def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
     """Largest critical set size over all squares of order n, exactly.
-    The witness is the first set under _largest_first among the critical
+    The witness is the smallest triple tuple among the largest critical
     sets of every reduced square.
 
     Row, column, and symbol relabelings (isotopisms) carry any square to
@@ -327,6 +317,6 @@ def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
             for sets, rep, members in largest if len(sets[0]) == value
             for member, iso in members for c in sets
         ),
-        key=lambda cs: _largest_first(cs[0]),
+        key=lambda cs: cs[0],
     )
     return LcsRecord(n, value, square, PartialLatinSquare.from_triples(n, witness))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import latincrit
 from latincrit.core import (
     GridError,
     LatinSquare,
@@ -9,9 +10,7 @@ from latincrit.core import (
     Triple,
     parse_partial,
     relabel,
-    remove_entry,
     serialize,
-    with_entry,
 )
 from latincrit.constructions import classic_5x5, random_latin_square
 
@@ -82,30 +81,6 @@ def test_parse_serialize_round_trip_random_suite():
         assert parse_partial(serialize(p)) == p
 
 
-def test_remove_entry_order_1():
-    full = PartialLatinSquare([[1]])
-    assert remove_entry(full, (1, 1)) == PartialLatinSquare.empty(1)
-
-
-def test_remove_entry_from_classic_example():
-    p = remove_entry(classic_5x5(), (1, 1))
-    assert p.size == 10
-    assert p.grid[0][0] == 0
-    # top-left entry of the example really is symbol 2
-    assert classic_5x5().grid[0][0] == 2
-
-
-def test_remove_then_re_add_is_identity():
-    p = classic_5x5()
-    for t in p.triples():
-        assert with_entry(remove_entry(p, (t.row, t.col)), t) == p
-
-
-def test_remove_empty_cell_rejected():
-    with pytest.raises(GridError):
-        remove_entry(classic_5x5(), (5, 5))
-
-
 def test_constructor_rejects_duplicates():
     with pytest.raises(GridError):
         PartialLatinSquare([[1, 1], [0, 0]])
@@ -149,3 +124,24 @@ def test_relabel_preserves_latin_property():
         out = relabel(sq, *perms)
         assert isinstance(out, LatinSquare)
         assert out.size == n * n
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        ([0, 0], [0, 1], [0, 1]),  # would merge both entries into row 1
+        ([0, 1], [0, -1], [0, 1]),  # negative column index
+        ([0, 1], [0, 1], [0, -1]),  # would drop the entry holding 2
+        ([0, 1], [0, 1], [0, 0]),  # would turn symbol 2 into 1
+        ([0, 1, 2], [0, 1], [0, 1]),  # wrong length
+    ],
+)
+def test_relabel_rejects_maps_that_are_not_permutations(perms):
+    with pytest.raises(GridError):
+        relabel(PartialLatinSquare([[1, 0], [0, 2]]), *perms)
+
+
+def test_public_names_resolve_once():
+    assert len(latincrit.__all__) == len(set(latincrit.__all__))
+    for name in latincrit.__all__:
+        assert hasattr(latincrit, name), name

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from latincrit.core import LatinSquare, PartialLatinSquare, Triple, relabel, serialize, with_entry
+from latincrit.core import LatinSquare, PartialLatinSquare, Triple, relabel, serialize
 from latincrit.bounds import bm_upper, nelder_bound
 from latincrit.constructions import (
     all_but_first_row_col,
@@ -16,11 +16,8 @@ from latincrit.criticality import (
     _all_squares,
     _carry,
     _critical_sets,
-    _intercalates,
-    _isotopism,
     _isotopy_classes,
     _largest_critical_sets,
-    _largest_first,
     largest_critical_in,
     lcs_exhaustive,
     minimize_uc,
@@ -196,7 +193,10 @@ CLASSIC_PLUS_5_5_REMOVAL_CHECKS = [
     "p, expected",
     [
         (classic_5x5(), CLASSIC_REMOVAL_CHECKS),
-        (with_entry(classic_5x5(), (5, 5, 2)), CLASSIC_PLUS_5_5_REMOVAL_CHECKS),
+        (
+            PartialLatinSquare.from_triples(5, classic_5x5().triples() + ((5, 5, 2),)),
+            CLASSIC_PLUS_5_5_REMOVAL_CHECKS,
+        ),
     ],
 )
 def test_verify_critical_removal_checks_are_pinned(p, expected):
@@ -211,14 +211,13 @@ def test_verify_critical_removal_checks_are_pinned(p, expected):
 
 
 def test_largest_critical_order_1():
-    res = largest_critical_in(back_circulant(1))
-    assert res.size == 0
+    assert largest_critical_in(back_circulant(1)).size == 0
 
 
 def test_largest_critical_back_circulant_3():
     res = largest_critical_in(back_circulant(3))
     assert res.size == 3
-    assert verify_critical(res.witness).critical
+    assert verify_critical(res).critical
 
 
 def test_largest_critical_rejects_big_orders():
@@ -259,30 +258,41 @@ def test_lcs_witnesses_round_trip():
         # the witness set really sits inside the witness square
         for t in rec.witness_set.triples():
             assert rec.witness_square.grid[t.row - 1][t.col - 1] == t.sym
+        assert largest_critical_in(rec.witness_square) == rec.witness_set
 
 
 def test_lcs_4_and_its_extremal_square():
     rec = lcs_exhaustive(4)
     assert rec.value == 7
     assert verify_critical(rec.witness_set).critical
-    # the per-square maximum on the extremal square agrees
+    # the per-square maximum on the extremal square agrees, witness included
     res = largest_critical_in(rec.witness_square)
-    assert res.size == 7
+    assert res.size == 7 and res == rec.witness_set
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lcs_matches_the_scan_over_every_reduced_square(n):
     # the scan lcs_exhaustive replaced: every critical set of every
-    # reduced square, the first under _largest_first as the witness
+    # reduced square, the largest with the smallest triple tuple as the
+    # witness
     squares = _all_squares(n)
     witness, square = min(
         ((c, s) for s in iter_reduced(n) for c in _critical_sets(s, squares)),
-        key=lambda cs: _largest_first(cs[0]),
+        key=lambda cs: (-len(cs[0]), cs[0]),
     )
     rec = lcs_exhaustive(n)
     assert rec.value == len(witness)
     assert rec.witness_square == square
     assert rec.witness_set.triples() == witness
+
+
+def _intercalates(l: LatinSquare) -> int:
+    """Number of 2x2 subsquares, an isotopy invariant."""
+    g, n = l.grid, l.order
+    return sum(
+        g[r][c] == g[s][d] and g[r][d] == g[s][c]
+        for r in range(n) for s in range(r + 1, n) for c in range(n) for d in range(c + 1, n)
+    )
 
 
 @pytest.mark.parametrize(
@@ -291,11 +301,19 @@ def test_lcs_matches_the_scan_over_every_reduced_square(n):
         # the Klein square alone, and the class of the cyclic group
         (4, [(1, 12), (3, 4)]),
         (5, [(50, 4), (6, 0)]),
+        # the 22 classes of McKay, Meynert & Myrvold (2007), about 0.5 s
+        (6, [
+            (60, 9), (180, 9), (120, 9), (1080, 5), (20, 27), (540, 19), (360, 15), (36, 15),
+            (360, 15), (1080, 11), (540, 7), (360, 15), (36, 15), (540, 7), (1080, 5),
+            (1080, 4), (120, 9), (1080, 5), (120, 9), (540, 7), (36, 15), (40, 0),
+        ]),
     ],
 )
 def test_isotopy_classes_of_reduced_squares(n, classes):
-    found = _isotopy_classes(list(iter_reduced(n)))
+    squares = list(iter_reduced(n, allow_large=True))
+    found = _isotopy_classes(squares)
     assert [(len(members), _intercalates(rep)) for rep, members in found] == classes
+    assert sorted(m.grid for _, members in found for m, _ in members) == sorted(s.grid for s in squares)
     for rep, members in found:
         assert members[0][0] == rep
         for member, iso in members:
@@ -312,9 +330,12 @@ def test_isotopisms_carry_largest_critical_sets_onto_the_members():
 
 def test_klein_square_is_not_isotopic_to_the_cyclic_square():
     klein = LatinSquare([[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
-    assert _isotopism(klein, back_circulant(4)) is None
-    assert _isotopism(back_circulant(4), klein) is None
-    assert relabel(klein, *_isotopism(klein, klein)) == klein
+    class_of = {
+        member: number
+        for number, (_, members) in enumerate(_isotopy_classes(list(iter_reduced(4))))
+        for member, _ in members
+    }
+    assert class_of[klein] != class_of[back_circulant(4)]
 
 
 def test_lcs_rejects_big_orders():
@@ -334,9 +355,7 @@ def test_uc_monotone_under_supersets():
         # add back random entries of the completion: still uniquely completable
         extra = [t for t in square.triples() if c.grid[t.row - 1][t.col - 1] == 0]
         rng.shuffle(extra)
-        grown = c
-        for t in extra[: max(1, len(extra) // 2)]:
-            grown = with_entry(grown, t)
+        grown = PartialLatinSquare.from_triples(n, c.triples() + tuple(extra[: max(1, len(extra) // 2)]))
         assert is_uniquely_completable(grown)
 
 
