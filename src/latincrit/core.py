@@ -95,16 +95,6 @@ class PartialLatinSquare:
         """Number of filled cells."""
         return sum(1 for row in self.grid for v in row if v)
 
-    @property
-    def shape(self) -> frozenset:
-        """The set of filled cell coordinates, 1-indexed."""
-        return frozenset(
-            (i + 1, j + 1)
-            for i, row in enumerate(self.grid)
-            for j, v in enumerate(row)
-            if v
-        )
-
     def triples(self) -> tuple[Triple, ...]:
         """Filled cells as 1-indexed triples in row-major order."""
         return tuple(

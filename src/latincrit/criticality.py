@@ -11,13 +11,19 @@ completable exactly when it meets the difference L minus L' for every
 other square L' of the same order.  The inclusion-minimal differences
 are the minimal Latin trades in L, and the critical sets of L are
 exactly the minimal transversals of that trade hypergraph (Keedwell
-2004).  Listing every square of order n gives the trades directly, and
-MMCS (Murakami & Uno 2014) lists the transversals without calling the
-solver.  Isotopisms (row, column and symbol permutations) carry critical
-sets to critical sets of the same size, so exhaustive lcs lists them for
-one square per isotopy class: 2 classes at order 4 and at order 5, out
-of 4 and 56 reduced squares.  A class is found as the orbit of one
-reduced square (McKay, Meynert & Myrvold 2007), with no pairwise search.
+2004).  Listing every square of order n gives the trades directly; with
+each square packed into one integer, a byte per cell, a few integer
+operations give the cells where two squares differ.  MMCS (Murakami &
+Uno 2014) lists the transversals without calling the solver.  For lcs
+it is a branch-and-bound: a branch with chosen cells C can add at most
+min(a, u) more cells, where a counts the candidate cells that meet an
+uncovered trade and u the uncovered trades, so it is dropped when
+|C| + min(a, u) is below the largest size found so far.  Isotopisms
+(row, column and symbol permutations) carry critical sets to critical
+sets of the same size, so exhaustive lcs searches one square per
+isotopy class: 2 classes at order 4 and at order 5, out of 4 and 56
+reduced squares.  A class is found as the orbit of one reduced square
+(McKay, Meynert & Myrvold 2007), with no pairwise search.
 """
 
 from __future__ import annotations
@@ -25,21 +31,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import LatinSquare, PartialLatinSquare, Triple, relabel
+from .core import LatinSquare, PartialLatinSquare, Triple
 from .enumeration import iter_reduced
 from .solver import NotUniqueError, _count_flat, count_completions
 
 # Known largest-critical-set values for small orders, and published lower
 # bounds where the exact value is open.  lcs(8) = 4^3 - 3^3.  Orders 1..5
-# are recomputed by lcs_exhaustive (order 5 in CI); KNOWN_LCS[6] and the
-# lower bounds are cited from the literature, not computed here.
+# are recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower
+# bound is computed: a critical set of size 18 is checked by the tests
+# (tests/data/lcs_6_witness_18.txt); only "no critical set of size 19" is
+# cited from the literature, as are the lower bounds below.
 KNOWN_LCS = {1: 0, 2: 1, 3: 3, 4: 7, 5: 11, 6: 18}
 KNOWN_LCS_LOWER_BOUNDS = {7: 25, 8: 37, 9: 44, 10: 57}
 
 # Exhaustive search lists all L(n) squares: 576 at order 4, 161,280 at
-# order 5, which is opt-in.
+# order 5, which is opt-in.  _minimal_trades needs every symbol to fit in
+# 3 bits, so these orders must stay at most 7.
 EXHAUSTIVE_MAX_ORDER = 4
 EXHAUSTIVE_OPT_IN_ORDER = 5
 
@@ -177,49 +186,92 @@ def _check_exhaustive_order(n: int, allow_large: bool):
         raise ValueError(f"exhaustive search supports orders 1..{limit}, got {n}{hint}")
 
 
-def _all_squares(n: int) -> list[bytes]:
-    """Every square of order n exactly once, as flat row-major bytes:
-    each reduced square with its columns in every order and its rows
-    below the first in every order."""
+def _all_squares(n: int) -> list[int]:
+    """Every square of order n exactly once, as one int: int.from_bytes of
+    its row-major bytes, little-endian, so cell i is byte i.  Each reduced
+    square appears with its columns in every order and its rows below the
+    first in every order."""
+    row_orders = list(permutations(range(1, n)))
     squares = []
     for reduced in iter_reduced(n):
         for cols in permutations(range(n)):
-            for rows in permutations(range(1, n)):
-                squares.append(bytes(reduced.grid[r][c] for r in (0, *rows) for c in cols))
+            rows = [bytes([row[c] for c in cols]) for row in reduced.grid]
+            squares += [int.from_bytes(rows[0] + b"".join([rows[r] for r in order]), "little")
+                        for order in row_orders]
     return squares
 
 
-def _critical_sets(l: LatinSquare, squares: list) -> Iterator[tuple[Triple, ...]]:
-    """Critical sets of l as row-major triples: the minimal transversals
-    of l's minimal trades (cell bitmasks, bit r*n + c), listed by MMCS."""
-    cells = [v for row in l.grid for v in row]
-    diffs = {sum(1 << i for i, (a, b) in enumerate(zip(cells, s)) if a != b) for s in squares}
-    trades = []
-    for d in sorted(diffs - {0}, key=int.bit_count):
-        if all(t & d != t for t in trades):
-            trades.append(d)
-    meets = [sum(1 << k for k, t in enumerate(trades) if t >> i & 1) for i in range(len(cells))]
+def _minimal_trades(l: LatinSquare, squares: list) -> list[int]:
+    """The minimal Latin trades in l as cell bitmasks (bit r*n + c),
+    sorted by (size, mask).
 
-    def mmcs(chosen: int, crit: dict, uncovered: int, cand: int) -> Iterator[int]:
+    The difference from each square s is taken bytewise on the packed
+    ints: x = own ^ s is nonzero in byte i exactly where the squares
+    differ at cell i, and since symbols fit in 3 bits, x | x >> 1 | x >> 2
+    gathers that into bit 0 of the byte.  Minimality is decided on these
+    byte masks; only the minimal ones are packed into cell bitmasks."""
+    cells = [v for row in l.grid for v in row]
+    own = int.from_bytes(bytes(cells), "little")
+    low = int.from_bytes(b"\1" * len(cells), "little")  # bit 0 of every byte
+    diffs = {(x | x >> 1 | x >> 2) & low for x in map(own.__xor__, squares)}
+    diffs.discard(0)
+    spread = []
+    for d in sorted(diffs, key=int.bit_count):
+        if all(t & d != t for t in spread):
+            spread.append(d)
+    trades = [sum(1 << i for i in range(len(cells)) if d >> 8 * i & 1) for d in spread]
+    return sorted(trades, key=lambda t: (t.bit_count(), t))
+
+
+def _critical_sets(
+    l: LatinSquare, squares: list, best: Sequence[int] = (0,)
+) -> Iterator[tuple[Triple, ...]]:
+    """Critical sets of l as row-major triples: the minimal transversals
+    of l's minimal trades, listed by MMCS.
+
+    best[0] is a size floor that the caller may raise between yields:
+    only sets at least that large are listed, and branches that cannot
+    reach it are pruned by the bound of the module docstring, which holds
+    because each added cell needs its own private trade, uncovered now."""
+    trades = _minimal_trades(l, squares)
+    n2 = l.order ** 2
+    meets = [sum(1 << k for k, t in enumerate(trades) if t >> i & 1) for i in range(n2)]
+
+    def mmcs(chosen: int, crit: list, uncovered: int, cand: int) -> Iterator[int]:
         # crit: per chosen cell, the trades it alone meets (never empty).
         # cand: cells still allowed; a branch's cells are held back and
         # released one by one, so each transversal is listed once.
         if not uncovered:
-            yield chosen
+            if len(crit) >= best[0]:
+                yield chosen
             return
-        open_trades = (trades[k] for k in range(len(trades)) if uncovered >> k & 1)
-        branch = min((t & cand for t in open_trades), key=int.bit_count)
+        # one walk over the candidate cells of the uncovered trades: their
+        # union, and the first trade with the fewest to branch on
+        union, branch, fewest = 0, 0, n2 + 1
+        rest = uncovered
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t = trades[bit.bit_length() - 1] & cand
+            union |= t
+            if t.bit_count() < fewest:
+                branch, fewest = t, t.bit_count()
+        if len(crit) + min(union.bit_count(), uncovered.bit_count()) < best[0]:
+            return
         cand &= ~branch
-        for i in range(len(cells)):
-            if branch >> i & 1:
-                kept = {j: c & ~meets[i] for j, c in crit.items()}
-                if all(kept.values()):
-                    kept[i] = meets[i] & uncovered
-                    yield from mmcs(chosen | 1 << i, kept, uncovered & ~meets[i], cand)
-                cand |= 1 << i
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            i = bit.bit_length() - 1
+            met = meets[i]
+            if all(c & ~met for c in crit):
+                kept = [c & ~met for c in crit]
+                kept.append(met & uncovered)
+                yield from mmcs(chosen | bit, kept, uncovered & ~met, cand)
+            cand |= bit
 
     triples = l.triples()
-    for mask in mmcs(0, {}, (1 << len(trades)) - 1, (1 << len(cells)) - 1):
+    for mask in mmcs(0, [], (1 << len(trades)) - 1, (1 << n2) - 1):
         # from a list: tuple() of a generator resizes, so freed tuples of
         # each size pile up unused in the interpreter's free lists
         yield tuple([t for i, t in enumerate(triples) if mask >> i & 1])
@@ -228,9 +280,10 @@ def _critical_sets(l: LatinSquare, squares: list) -> Iterator[tuple[Triple, ...]
 def largest_critical_in(l: LatinSquare, allow_large: bool = False) -> PartialLatinSquare:
     """Largest critical set inside one square, exactly.
 
-    Lists the critical sets of l as the minimal transversals of its
-    minimal Latin trades (order <= 4 enforced, 5 opt-in via allow_large)
-    and returns a largest one, ties broken by the smallest triple tuple.
+    Searches the critical sets of l, the minimal transversals of its
+    minimal Latin trades, for the largest (order <= 4 enforced, 5 opt-in
+    via allow_large) and returns one, ties broken by the smallest triple
+    tuple.
     """
     _check_exhaustive_order(l.order, allow_large)
     witness = min(_largest_critical_sets(l, _all_squares(l.order)))
@@ -280,16 +333,27 @@ def _isotopy_classes(squares: list) -> list:
     return classes
 
 
-def _largest_critical_sets(l: LatinSquare, squares: list) -> list:
-    """The critical sets of l of the largest size, in MMCS order."""
-    sets = list(_critical_sets(l, squares))
-    top = max(map(len, sets))
-    return [c for c in sets if len(c) == top]
+def _largest_critical_sets(l: LatinSquare, squares: list, floor: int = 0) -> list:
+    """The critical sets of l of the largest size, in MMCS order, or none
+    when that size is below floor.  The search is a branch-and-bound: the
+    largest size found so far, or floor if larger, prunes every branch
+    that cannot reach it."""
+    best = [floor]
+    sets = []
+    for c in _critical_sets(l, squares, best):
+        if len(c) > best[0]:
+            best[0] = len(c)
+            sets.clear()
+        sets.append(c)
+    return sets
 
 
 def _carry(c: tuple[Triple, ...], iso) -> tuple[Triple, ...]:
-    """The image of a set of row-major triples under an isotopism."""
-    return relabel(PartialLatinSquare.from_triples(len(iso[0]), c), *iso).triples()
+    """The image of a set of row-major triples under an isotopism, as
+    relabel moves them, in row-major order."""
+    rows, cols, syms = iso
+    moved = [Triple(rows[t.row - 1] + 1, cols[t.col - 1] + 1, syms[t.sym - 1] + 1) for t in c]
+    return tuple(sorted(moved))
 
 
 def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
@@ -304,13 +368,20 @@ def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
     its own critical sets, so any single isotopism maps its largest sets
     onto exactly the largest sets of a class member.  Only sets of the
     global maximum size can be the witness, so the representative's
-    largest sets, carried onto every reduced member, hold it.
+    largest sets, carried onto every reduced member, hold it.  The size
+    found so far is the floor for the next representative, so a class
+    whose largest sets are smaller (the cyclic class at order 5: 10
+    against 11) yields none.
     """
     _check_exhaustive_order(n, allow_large)
     squares = _all_squares(n)
-    largest = [(_largest_critical_sets(rep, squares), rep, members)
-               for rep, members in _isotopy_classes(list(iter_reduced(n)))]
-    value = max(len(sets[0]) for sets, _, _ in largest)
+    value = 0
+    largest = []
+    for rep, members in _isotopy_classes(list(iter_reduced(n))):
+        sets = _largest_critical_sets(rep, squares, value)
+        if sets:
+            value = len(sets[0])
+            largest.append((sets, rep, members))
     witness, square = min(
         (
             (c if member is rep else _carry(c, iso), member)

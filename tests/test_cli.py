@@ -89,7 +89,7 @@ LCS_STDOUT = {
     ),
 }
 
-# Stdout of `latincrit lcs 5 --allow-large` (about 13 s), frozen; CI
+# Stdout of `latincrit lcs 5 --allow-large` (about 2 s), frozen; CI
 # recomputes it and compares.
 LCS_5_STDOUT = Path(__file__).parent / "data" / "lcs_5_allow_large.out"
 

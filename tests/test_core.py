@@ -25,7 +25,6 @@ def test_parse_complete_cyclic():
 def test_parse_partial_single_entry():
     p = parse_partial("2\n1 .\n. .\n")
     assert p.size == 1
-    assert p.shape == frozenset({(1, 1)})
     assert p.triples() == (Triple(1, 1, 1),)
 
 

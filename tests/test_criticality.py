@@ -1,9 +1,10 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from latincrit.core import LatinSquare, PartialLatinSquare, Triple, relabel, serialize
+from latincrit.core import LatinSquare, PartialLatinSquare, Triple, parse_partial, relabel, serialize
 from latincrit.bounds import bm_upper, nelder_bound
 from latincrit.constructions import (
     all_but_first_row_col,
@@ -18,6 +19,7 @@ from latincrit.criticality import (
     _critical_sets,
     _isotopy_classes,
     _largest_critical_sets,
+    _minimal_trades,
     largest_critical_in,
     lcs_exhaustive,
     minimize_uc,
@@ -328,6 +330,16 @@ def test_isotopisms_carry_largest_critical_sets_onto_the_members():
             assert sorted(_carry(c, iso) for c in sets) == sorted(_largest_critical_sets(member, squares))
 
 
+def test_carry_moves_triples_as_relabel_does():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        square = random_latin_square(n, seed=n)
+        for _ in range(5):
+            c = tuple([t for t in square.triples() if rng.random() < 0.5])
+            iso = [rng.sample(range(n), n) for _ in range(3)]
+            assert _carry(c, iso) == relabel(PartialLatinSquare.from_triples(n, c), *iso).triples()
+
+
 def test_klein_square_is_not_isotopic_to_the_cyclic_square():
     klein = LatinSquare([[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]])
     class_of = {
@@ -380,6 +392,20 @@ def test_known_lcs_fixtures_sit_between_bounds():
         assert nelder_bound(n) <= KNOWN_LCS[n] <= bm_upper(n)
 
 
+# A critical set of size 18 at order 6, found by a trade-guided search:
+# the computed half of lcs(6) = 18.
+LCS_6_WITNESS = Path(__file__).parent / "data" / "lcs_6_witness_18.txt"
+
+
+def test_lcs_6_lower_bound_witness_is_critical():
+    c = parse_partial(LCS_6_WITNESS.read_text())
+    rep = verify_critical(c)
+    assert rep.critical
+    assert c.size == KNOWN_LCS[6]
+    rows = ["".join(map(str, row)) for row in rep.completion.grid]
+    assert rows == ["123456", "214365", "351624", "462513", "536142", "645231"]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_critical_sets_match_subset_scan_oracle(n):
     squares = _all_squares(n)
@@ -411,3 +437,45 @@ def test_critical_sets_order_4_verify_and_spectra():
                 relabel(PartialLatinSquare.from_triples(4, c), *perms).triples() for c in found
             }
     assert sorted(spectra) == [(576, [5, 6, 7]), (736, [4, 5, 6]), (736, [4, 5, 6]), (736, [4, 5, 6])]
+
+
+def _per_cell_trades(l: LatinSquare, squares: list) -> list:
+    """The minimal trades of l by the per-cell difference formula that the
+    bit-parallel one replaced, sorted by (size, mask)."""
+    n2 = l.order ** 2
+    cells = [v for row in l.grid for v in row]
+    diffs = {
+        sum(1 << i for i, (a, b) in enumerate(zip(cells, s.to_bytes(n2, "little"))) if a != b)
+        for s in squares
+    }
+    trades = []
+    for d in sorted(diffs - {0}, key=int.bit_count):
+        if all(t & d != t for t in trades):
+            trades.append(d)
+    return sorted(trades, key=lambda t: (t.bit_count(), t))
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 12), (4, 576), (5, 161_280)])
+def test_bit_parallel_trades_match_the_per_cell_formula(n, count):
+    squares = _all_squares(n)
+    assert len(set(squares)) == len(squares) == count
+    # every square up to order 4; one at order 5, the first order where two
+    # symbols (1 and 5) differ in bit 2 alone
+    for s in squares if n < 5 else squares[:1]:
+        flat = s.to_bytes(n * n, "little")
+        square = LatinSquare([flat[r * n : (r + 1) * n] for r in range(n)])
+        assert _minimal_trades(square, squares) == _per_cell_trades(square, squares)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_size_bound_keeps_every_set_it_may_keep(n):
+    squares = _all_squares(n)
+    for square in iter_reduced(n):
+        every = list(_critical_sets(square, squares))
+        top = max(map(len, every))
+        for floor in range(top + 2):
+            # a fixed floor lists exactly the sets at least that large ...
+            assert list(_critical_sets(square, squares, [floor])) == [c for c in every if len(c) >= floor]
+            # ... and a rising one exactly the largest, or none above them
+            largest = [c for c in every if len(c) == top] if floor <= top else []
+            assert _largest_critical_sets(square, squares, floor) == largest
