@@ -20,6 +20,9 @@ LN_8PI = math.log(8.0 * math.pi)
 # Tolerance for log-space inequality checks.
 LOG_TOL = 1e-9
 
+# Largest n that stirling_check takes.
+STIRLING_MAX_N = 300
+
 _log_fact = [0.0]  # _log_fact[k] = ln(k!), extended on demand
 
 
@@ -111,8 +114,8 @@ def exact_counting_lower(n: int) -> float:
 def stirling_check(n: int) -> bool:
     """True iff ln sqrt(2 pi n) + n ln n - n <= ln(n!), i.e. the Stirling
     substitute really is a smaller value at this n."""
-    if not 1 <= n <= 300:
-        raise ValueError(f"supported range is 1..300, got {n}")
+    if not 1 <= n <= STIRLING_MAX_N:
+        raise ValueError(f"supported range is 1..{STIRLING_MAX_N}, got {n}")
     lower = 0.5 * math.log(2.0 * math.pi * n) + n * math.log(n) - n
     return lower <= log_factorial(n)
 
@@ -120,9 +123,8 @@ def stirling_check(n: int) -> bool:
 def check_chain(n: int, lcs_value: int) -> ChainCheck:
     """Verify 2n ln n! - n^2 ln n <= ln L(n) <= (n^2-2n+1) ln 2 + lcs ln n
     against the exact L(n) of `count_all` (the row dynamic program over
-    reduced squares), at LOG_TOL slack."""
-    if n > 5:
-        raise ValueError(f"exact L(n) available for n <= 5 only, got {n}")
+    reduced squares), at LOG_TOL slack.  Orders that `count_all` refuses
+    raise."""
     lhs = log_Ln_lower(n)
     mid = math.log(count_all(n).total_count)
     rhs = (n * n - 2 * n + 1) * LN2 + lcs_value * math.log(n)

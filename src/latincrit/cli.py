@@ -93,7 +93,7 @@ def _cmd_lcs(args) -> int:
         print("witness set:")
         print(serialize(witness), end="")
         return 0
-    rec = lcs_exhaustive(n, allow_large=args.allow_large)
+    rec = lcs_exhaustive(n)
     print(f"lcs({n}) = {rec.value}")
     print("witness square:")
     print(serialize(rec.witness_square), end="")
@@ -135,10 +135,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    result = count_all(args.n, allow_large=args.allow_large)
-    if args.list:
+    squares = iter_reduced(args.n) if args.list else None  # refuses a large order before counting
+    result = count_all(args.n)
+    if squares is not None:
         first = True
-        for square in iter_reduced(args.n, allow_large=args.allow_large):
+        for square in squares:
             if not first:
                 print()
             print(serialize(square), end="")
@@ -218,8 +219,8 @@ def _cmd_check_chain(args) -> int:
 
 
 def _cmd_check_stirling(args) -> int:
-    if args.n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {args.n_max}")
+    if not 1 <= args.n_max <= bounds_mod.STIRLING_MAX_N:
+        raise ValueError(f"n_max must be in 1..{bounds_mod.STIRLING_MAX_N}, got {args.n_max}")
     failures = [n for n in range(1, args.n_max + 1) if not bounds_mod.stirling_check(n)]
     if failures:
         print(f"stirling FAILS at n = {failures}")
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--heuristic", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=32, help="heuristic portfolio size")
-    p.add_argument("--allow-large", action="store_true", help="permit exhaustive order 5")
+    p.add_argument("--allow-large", action="store_true", help="no effect; kept for old command lines")
     p.set_defaults(func=_cmd_lcs)
 
     p = sub.add_parser("construct", help="emit a named construction")
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact reduced and total square counts")
     p.add_argument("n", type=int)
     p.add_argument("--list", action="store_true", help="stream the reduced squares")
-    p.add_argument("--allow-large", action="store_true", help="permit order 6")
+    p.add_argument("--allow-large", action="store_true", help="no effect; kept for old command lines")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("bounds", help="bound formula table, or the crossover order")

@@ -37,20 +37,17 @@ from .core import LatinSquare, PartialLatinSquare, Triple
 from .enumeration import iter_reduced
 from .solver import NotUniqueError, _count_flat, count_completions
 
-# Known largest-critical-set values for small orders, and published lower
-# bounds where the exact value is open.  lcs(8) = 4^3 - 3^3.  Orders 1..5
-# are recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower
+# Known largest-critical-set values for small orders.  Orders 1..5 are
+# recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower
 # bound is computed: a critical set of size 18 is checked by the tests
 # (tests/data/lcs_6_witness_18.txt); only "no critical set of size 19" is
-# cited from the literature, as are the lower bounds below.
+# cited from the literature.
 KNOWN_LCS = {1: 0, 2: 1, 3: 3, 4: 7, 5: 11, 6: 18}
-KNOWN_LCS_LOWER_BOUNDS = {7: 25, 8: 37, 9: 44, 10: 57}
 
-# Exhaustive search lists all L(n) squares: 576 at order 4, 161,280 at
-# order 5, which is opt-in.  _minimal_trades needs every symbol to fit in
-# 3 bits, so these orders must stay at most 7.
-EXHAUSTIVE_MAX_ORDER = 4
-EXHAUSTIVE_OPT_IN_ORDER = 5
+# Exhaustive search lists all L(n) squares: 161,280 at order 5, but
+# 812,851,200 at order 6.  _minimal_trades also needs every symbol to fit
+# in 3 bits, which no order above 7 allows.
+EXHAUSTIVE_MAX_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -178,19 +175,13 @@ def minimize_uc(
     return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
 
 
-def _check_exhaustive_order(n: int, allow_large: bool):
-    limit = EXHAUSTIVE_OPT_IN_ORDER if allow_large else EXHAUSTIVE_MAX_ORDER
-    if not 1 <= n <= limit:
-        hint = (" (order 5 needs --allow-large, or allow_large=True)"
-                if n == EXHAUSTIVE_OPT_IN_ORDER else "")
-        raise ValueError(f"exhaustive search supports orders 1..{limit}, got {n}{hint}")
-
-
 def _all_squares(n: int) -> list[int]:
     """Every square of order n exactly once, as one int: int.from_bytes of
     its row-major bytes, little-endian, so cell i is byte i.  Each reduced
     square appears with its columns in every order and its rows below the
-    first in every order."""
+    first in every order.  Orders outside 1..EXHAUSTIVE_MAX_ORDER raise."""
+    if not 1 <= n <= EXHAUSTIVE_MAX_ORDER:
+        raise ValueError(f"exhaustive search supports orders 1..{EXHAUSTIVE_MAX_ORDER}, got {n}")
     row_orders = list(permutations(range(1, n)))
     squares = []
     for reduced in iter_reduced(n):
@@ -277,15 +268,13 @@ def _critical_sets(
         yield tuple([t for i, t in enumerate(triples) if mask >> i & 1])
 
 
-def largest_critical_in(l: LatinSquare, allow_large: bool = False) -> PartialLatinSquare:
+def largest_critical_in(l: LatinSquare) -> PartialLatinSquare:
     """Largest critical set inside one square, exactly.
 
     Searches the critical sets of l, the minimal transversals of its
-    minimal Latin trades, for the largest (order <= 4 enforced, 5 opt-in
-    via allow_large) and returns one, ties broken by the smallest triple
-    tuple.
+    minimal Latin trades, for the largest (order <= EXHAUSTIVE_MAX_ORDER)
+    and returns one, ties broken by the smallest triple tuple.
     """
-    _check_exhaustive_order(l.order, allow_large)
     witness = min(_largest_critical_sets(l, _all_squares(l.order)))
     return PartialLatinSquare.from_triples(l.order, witness)
 
@@ -356,7 +345,7 @@ def _carry(c: tuple[Triple, ...], iso) -> tuple[Triple, ...]:
     return tuple(sorted(moved))
 
 
-def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
+def lcs_exhaustive(n: int) -> LcsRecord:
     """Largest critical set size over all squares of order n, exactly.
     The witness is the smallest triple tuple among the largest critical
     sets of every reduced square.
@@ -373,7 +362,6 @@ def lcs_exhaustive(n: int, allow_large: bool = False) -> LcsRecord:
     whose largest sets are smaller (the cyclic class at order 5: 10
     against 11) yields none.
     """
-    _check_exhaustive_order(n, allow_large)
     squares = _all_squares(n)
     value = 0
     largest = []

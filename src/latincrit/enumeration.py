@@ -20,24 +20,18 @@ from typing import Iterator, NamedTuple
 
 from .core import LatinSquare
 
-# n = 6 means 9408 reduced squares; allowed only on request.
-DEFAULT_MAX_ORDER = 5
-OPT_IN_MAX_ORDER = 6
+# R(7) = 16,942,080 is counted in seconds; at order 8 the row program's
+# state sets blow up.
+COUNT_MAX_ORDER = 7
+# Order 6 lists 9,408 reduced squares in about half a second; order 7
+# would list all 16,942,080.
+LIST_MAX_ORDER = 6
 
 
 class EnumerationResult(NamedTuple):
     order: int
     reduced_count: int
     total_count: int
-
-
-def _check_order(n: int, allow_large: bool):
-    limit = OPT_IN_MAX_ORDER if allow_large else DEFAULT_MAX_ORDER
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    if n > limit:
-        hint = " (order 6 needs --allow-large, or allow_large=True)" if n == OPT_IN_MAX_ORDER else ""
-        raise ValueError(f"order {n} too large to enumerate; limit {limit}{hint}")
 
 
 def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
@@ -165,18 +159,23 @@ def _reduced_border(n: int) -> list:
     return cells
 
 
-def iter_reduced(n: int, allow_large: bool = False) -> Iterator[LatinSquare]:
+def iter_reduced(n: int) -> Iterator[LatinSquare]:
     """All Latin squares of order n with first row and column 1..n, each
-    exactly once, in lexicographic row-major order."""
-    _check_order(n, allow_large)
-    for cells in _row_major_fills(n, _reduced_border(n)):
-        yield LatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
+    exactly once, in lexicographic row-major order.  An order outside
+    1..LIST_MAX_ORDER raises here, not at the first square."""
+    if not 1 <= n <= LIST_MAX_ORDER:
+        raise ValueError(f"listing reduced squares supports orders 1..{LIST_MAX_ORDER}, got {n}")
+    return (
+        LatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
+        for cells in _row_major_fills(n, _reduced_border(n))
+    )
 
 
-def count_all(n: int, allow_large: bool = False) -> EnumerationResult:
+def count_all(n: int) -> EnumerationResult:
     """Exact R(n), counted by the row dynamic program over the reduced
     border, and L(n) = n! * (n-1)! * R(n)."""
-    _check_order(n, allow_large)
+    if not 1 <= n <= COUNT_MAX_ORDER:
+        raise ValueError(f"counting supports orders 1..{COUNT_MAX_ORDER}, got {n}")
     reduced = _count_by_rows(n, _reduced_border(n))
     total = math.factorial(n) * math.factorial(n - 1) * reduced
     return EnumerationResult(order=n, reduced_count=reduced, total_count=total)

@@ -16,7 +16,7 @@ from latincrit.bounds import (
     svr_bound,
     theorem1_lower,
 )
-from latincrit.criticality import KNOWN_LCS, KNOWN_LCS_LOWER_BOUNDS
+from latincrit.criticality import KNOWN_LCS
 
 
 def test_log_factorial_matches_lgamma():
@@ -69,7 +69,7 @@ def test_log_Ln_lower_values():
 
 
 def test_check_chain_known_orders():
-    fixtures = {1: 0, 2: 1, 3: 3, 4: 7, 5: 11}
+    fixtures = {1: 0, 2: 1, 3: 3, 4: 7, 5: 11, 6: 18}
     for n, lcs in fixtures.items():
         assert check_chain(n, lcs).holds
 
@@ -89,8 +89,9 @@ def test_check_chain_order_5_logs():
 
 
 def test_check_chain_rejects_large_orders():
+    # the limit of count_all, which computes L(n)
     with pytest.raises(ValueError):
-        check_chain(6, 18)
+        check_chain(8, 37)
 
 
 def test_stirling_check_range():
@@ -139,14 +140,6 @@ def test_fixture_consistency():
     for n in range(2, 7):
         assert theorem1_lower(n) <= KNOWN_LCS[n] <= bm_upper(n)
         assert nelder_bound(n) <= KNOWN_LCS[n]
-
-
-def test_known_lower_bound_fixtures():
-    # published lower bounds for 7..10 sit between the constructions' sizes
-    # and the upper bound; the n = 8 entry is exactly 4^3 - 3^3
-    for n, lower in KNOWN_LCS_LOWER_BOUNDS.items():
-        assert nelder_bound(n) <= lower <= bm_upper(n)
-    assert KNOWN_LCS_LOWER_BOUNDS[8] == svr_bound(3) == 37
 
 
 def test_bounds_table_single_rows():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import latincrit
+from latincrit import cli
 from latincrit.cli import main
 from latincrit.core import parse_partial, serialize
 from latincrit.criticality import KNOWN_LCS, verify_critical
@@ -89,9 +90,9 @@ LCS_STDOUT = {
     ),
 }
 
-# Stdout of `latincrit lcs 5 --allow-large` (about 2 s), frozen; CI
-# recomputes it and compares.
-LCS_5_STDOUT = Path(__file__).parent / "data" / "lcs_5_allow_large.out"
+# Stdout of `latincrit lcs 5` (about 2 s), frozen; CI recomputes it and
+# compares.
+LCS_5_STDOUT = Path(__file__).parent / "data" / "lcs_5.out"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -142,18 +143,21 @@ def test_lcs_too_large_is_usage_error(capsys):
     assert "error" in err
 
 
-def test_order_limit_hint_names_the_flag_only_at_the_opt_in_order(capsys):
-    for argv, hinted in (
-        (("lcs", "5"), True),
-        (("lcs", "6"), False),
-        (("count", "6"), True),
-        (("count", "7"), False),
-    ):
+def test_orders_past_each_limit_are_usage_errors(capsys, monkeypatch):
+    for argv in (("lcs", "6"), ("count", "8"), ("count", "7", "--list")):
+        if argv[-1] == "--list":
+            # refused before R(7), which takes seconds, is counted
+            monkeypatch.setattr(cli, "count_all", lambda n: pytest.fail(f"counted order {n}"))
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
-        assert ("--allow-large" in err) == hinted
+
+
+def test_count_6_allow_large_has_no_effect(capsys):
+    expected = (0, "R(6) = 9408\nL(6) = 812851200\n", "")
+    assert run(capsys, "count", "6") == expected
+    assert run(capsys, "count", "6", "--allow-large") == expected
 
 
 def test_construct_round_trips(capsys):
@@ -240,15 +244,22 @@ def test_bounds_needs_range_or_crossover(capsys):
 
 
 def test_check_chain(capsys):
-    code, out, _ = run(capsys, "check-chain", "5")
-    assert code == 0
-    assert "holds" in out
+    for n in ("5", "6"):  # order 6 uses the cited KNOWN_LCS[6]
+        code, out, _ = run(capsys, "check-chain", n)
+        assert code == 0
+        assert out.endswith("-> holds\n")
 
 
 def test_check_stirling(capsys):
     code, out, _ = run(capsys, "check-stirling", "300")
     assert code == 0
     assert "holds for all n in 1..300" in out
+
+
+def test_check_stirling_names_an_n_max_above_the_range(capsys):
+    code, out, err = run(capsys, "check-stirling", "400")
+    assert (code, out) == (2, "")
+    assert err == "error: n_max must be in 1..300, got 400\n"
 
 
 def test_check_stirling_rejects_non_positive_n_max(capsys):
@@ -279,7 +290,7 @@ def test_closed_pipe_ends_quietly_with_exit_0():
     # reader goes away
     src = str(Path(latincrit.__file__).resolve().parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "latincrit.cli", "count", "6", "--allow-large", "--list"],
+        [sys.executable, "-m", "latincrit.cli", "count", "6", "--list"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=src),

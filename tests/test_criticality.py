@@ -224,7 +224,7 @@ def test_largest_critical_back_circulant_3():
 
 def test_largest_critical_rejects_big_orders():
     with pytest.raises(ValueError):
-        largest_critical_in(back_circulant(5))
+        largest_critical_in(back_circulant(6))
 
 
 def test_largest_critical_heuristic_is_lower_bound():
@@ -312,7 +312,7 @@ def _intercalates(l: LatinSquare) -> int:
     ],
 )
 def test_isotopy_classes_of_reduced_squares(n, classes):
-    squares = list(iter_reduced(n, allow_large=True))
+    squares = list(iter_reduced(n))
     found = _isotopy_classes(squares)
     assert [(len(members), _intercalates(rep)) for rep, members in found] == classes
     assert sorted(m.grid for _, members in found for m, _ in members) == sorted(s.grid for s in squares)
@@ -352,9 +352,9 @@ def test_klein_square_is_not_isotopic_to_the_cyclic_square():
 
 def test_lcs_rejects_big_orders():
     with pytest.raises(ValueError):
-        lcs_exhaustive(5)
+        lcs_exhaustive(6)
     with pytest.raises(ValueError):
-        lcs_exhaustive(6, allow_large=True)
+        lcs_exhaustive(0)
 
 
 def test_uc_monotone_under_supersets():

@@ -57,9 +57,7 @@ def test_count_all_small_orders():
 
 def test_row_count_matches_listing():
     for n in range(1, 7):
-        assert count_all(n, allow_large=True).reduced_count == sum(
-            1 for _ in iter_reduced(n, allow_large=True)
-        )
+        assert count_all(n).reduced_count == sum(1 for _ in iter_reduced(n))
 
 
 def test_row_count_of_empty_grid_is_total_count():
@@ -74,17 +72,15 @@ def test_count_all_cross_checks_solver():
         assert _search_count(n, [0] * n * n, None)[0] == count_all(n).total_count
 
 
-def test_order_6_needs_opt_in():
+def test_orders_past_the_limits_are_refused():
     with pytest.raises(ValueError):
-        count_all(6)
+        count_all(8)
     with pytest.raises(ValueError):
-        list(iter_reduced(6))
-    with pytest.raises(ValueError):
-        count_all(7, allow_large=True)
+        iter_reduced(7)  # at the call, before the first square
 
 
-def test_order_6_opt_in_counts():
-    result = count_all(6, allow_large=True)
+def test_order_6_counts():
+    result = count_all(6)
     assert result.reduced_count == 9408
     assert result.total_count == 812_851_200
 
