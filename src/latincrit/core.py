@@ -13,6 +13,7 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 # Symbol masks for rows/columns must fit a machine word.
@@ -20,9 +21,20 @@ MAX_ORDER = 31
 
 
 class GridError(ValueError):
-    """Malformed grid: bad dimensions, out-of-range symbol, row/column
-    duplicate, a cell outside the grid or assigned twice, or a relabeling
-    by a map that is not a permutation."""
+    """Malformed grid: bad dimensions, an entry that is not an integer,
+    out-of-range symbol, row/column duplicate, a cell outside the grid or
+    assigned twice, or a relabeling by a map that is not a permutation."""
+
+
+def _entry(row: int, v) -> int:
+    """A grid entry that is not an int: None is an empty cell, and any
+    other value must be of an integer type."""
+    if v is None:
+        return 0
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise GridError(f"row {row}: entry {v!r} is not an integer") from None
 
 
 class Triple(NamedTuple):
@@ -44,7 +56,8 @@ class PartialLatinSquare:
     __slots__ = ("order", "grid")
 
     def __init__(self, rows: Iterable[Iterable[int | None]]):
-        grid = tuple([tuple([0 if v is None else int(v) for v in row]) for row in rows])
+        grid = tuple([tuple([v if type(v) is int else _entry(i, v) for v in row])
+                      for i, row in enumerate(rows, start=1)])
         n = len(grid)
         if not 1 <= n <= MAX_ORDER:
             raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")

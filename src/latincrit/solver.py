@@ -1,25 +1,31 @@
 """Completion counting and unique-completability for partial Latin squares.
 
-Backtracking over a flat row-major grid (0 = empty) and six bitmask
-tables: the symbols in each row and column (`row_used`, `col_used`), the
-rows and columns holding each symbol (`sym_rows`, `sym_cols`), and the
-empty cells of each row and column (`row_empty`, `col_empty`).  So every
-rule is a bit test: cell (r, c) may take `~(row_used[r] | col_used[c])`,
-and symbol v may go in row r at `row_empty[r] & ~sym_cols[v]`.
+A partial Latin square is a set of triples (row, column, symbol) in which
+any two coordinates fix the third.  Backtracking keeps a flat row-major
+grid (0 = empty) and, for each ordered pair of axes (X, Y), a table
+`seen[X][Y]` of bit masks: `seen[X][Y][a]` holds the values of Y that
+share a triple with value a of X.  The tables are named by their axes,
+r (row), c (column) and v (symbol): `rv[r]` holds the symbols of row r,
+`vr[v]` the rows that hold symbol v, and `rc[r]` the filled cells of
+row r.  Symbols are 0-based in the tables (symbol v at bit v - 1).
 
-Each node first closes under forced moves: naked singles (one candidate
-left in a cell) and hidden singles in rows and columns (one cell left
-for a symbol).  Propagation keeps bit masks of dirty rows, columns and
-symbols, those changed by a placement since the last fixed point, and
-re-checks only the rules that read them, one dirty item at a time.  The
-root starts with everything dirty; a branch starts with the row, column
-and symbol of the one placement that made it, since its parent was
-already at a fixed point.  Both rules only ever fire or fail more as
-cells fill, so every firing order reaches the same closure, and fails
-exactly when another order does.  The node then branches on a cell with
-the fewest candidates, ties broken in row-major order, symbols
-ascending, each branch on copies of the state, so counts, the capped
-flag, and witnesses are deterministic.
+Each node first closes under forced moves, which are one rule read on
+the three conjugates of the square: two values of two axes that are in
+no triple together need a value of the third axis that is in no triple
+with either.  If there is none, the node fails; if there is one, it is
+placed.  On (row, column) this is a naked single, one candidate left in
+a cell; on (row, symbol) and (column, symbol) a hidden single, one cell
+left for a symbol in a line.  Propagation keeps bit masks of dirty rows,
+columns and symbols, those in a triple placed since the last fixed
+point, and re-checks only the pairs that hold one, one dirty value at a
+time.  The root starts with everything dirty; a branch starts with the
+row, column and symbol of the one placement that made it, since its
+parent was already at a fixed point.  The rule only ever fires or fails
+more as triples are added, so every firing order reaches the same
+closure, and fails exactly when another order does.  The node then
+branches on a cell with the fewest candidates, ties broken in row-major
+order, symbols ascending, each branch on copies of the state, so counts,
+the capped flag, and witnesses are deterministic.
 
 Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
 They close the root under forced moves once, count with the row dynamic
@@ -69,157 +75,119 @@ class CompletionReport:
     witnesses: tuple[LatinSquare, ...]
 
 
-def _propagate_flat(n, cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty,
-                    rows=-1, cols=-1, syms=-1) -> bool:
-    """Fill forced cells in place until no rule fires, updating every
-    table.  Returns False on contradiction: an empty cell with no
-    candidate, or a missing symbol with no admissible cell in its row or
-    column.
+# The axes of a triple are row 0, column 1 and symbol 2.  The state holds
+# the six tables seen[X][Y] in the order of these pairs (X, Y).
+_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+# The rules of a value on axis X, one for each other axis Y ascending, Z
+# the third: the positions of seen[X][Y], seen[X][Z] and seen[Y][Z] among
+# the tables, then Y and Z.
+_RULES = tuple(
+    tuple((_PAIRS.index((x, y)), _PAIRS.index((x, z)), _PAIRS.index((y, z)), y, z)
+          for y, z in _PAIRS if x not in (y, z))
+    for x in range(3))
 
-    `rows`, `cols` and `syms` are bit masks of the dirty lines and
-    symbols (symbol v at bit v - 1): those changed since the grid was
-    last at a fixed point.  The default -1 marks everything dirty.  A
-    cell's candidates change only with its row and column, and a
-    symbol's admissible cells in a line only with that line and that
-    symbol, so only dirty items need checking.  The loop takes one dirty
-    item at a time and clears it: the lowest dirty row, else the lowest
-    dirty column, else the lowest dirty symbol.  A line is checked for
-    naked singles in all its empty cells and for hidden singles of all
-    its missing symbols; a symbol for hidden singles in every line that
-    misses it.  Each placement marks its row, column and symbol dirty
-    again, so an item is always checked after its last change, and the
-    loop stops when nothing is dirty.
+
+def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1) -> bool:
+    """Fill forced cells in place until no rule fires, updating every
+    table.  Returns False on contradiction: two values of two axes, in
+    no triple together, that no value of the third axis can join.
+
+    `rows`, `cols` and `syms` are bit masks of the dirty values of each
+    axis (symbol v at bit v - 1): those in a triple placed since the grid
+    was last at a fixed point.  The default -1 marks everything dirty.
+    The rule for a pair (a, b) reads only the tables of a and of b, which
+    change only with a triple holding a or b, so only pairs with a dirty
+    member need checking.  The loop takes one dirty value at a time and
+    clears it: the lowest dirty row, else the lowest dirty column, else
+    the lowest dirty symbol, value a on axis X.  For each other axis Y in
+    ascending order, and each b ascending that is in no triple with a,
+    the third axis Z can take only `full & ~(seen[X][Z][a] |
+    seen[Y][Z][b])`.  If that is empty, propagation fails; if it holds
+    one value, the triple is placed, which marks its row, column and
+    symbol dirty again.  So a value is always checked after its last
+    change, and the loop stops when nothing is dirty.
 
     The firing order does not change the outcome.  A move that fires on
     a grid still fires on any larger grid reached by sound moves, unless
-    that grid already holds it or fails at the same cell or line, and a
-    failure stays a failure.  So any two orders place the same moves:
-    both end at the same fixed point, or both fail.  Where propagation
-    fails, the grid holds whatever was placed before it stopped.
-    Placements inline `_place`: a call per forced cell costs about 8% of
-    counting time."""
-    full = (1 << n) - 1
+    that grid already holds it or fails at the same pair, and a failure
+    stays a failure.  So any two orders place the same moves: both end
+    at the same fixed point, or both fail.  Where propagation fails, the
+    grid holds whatever was placed before it stopped.  The placement
+    inlines `_place`: a call per forced cell costs about 8% of counting
+    time."""
+    full = (1 << n) - 1  # every table bit lies in full, so full ^ m is its complement
+    tables = (rc, rv, cr, cv, vr, vc)
     rows &= full
     cols &= full
     syms &= full
+    t = [0, 0, 0]  # the triple being placed, by axis
     while rows | cols | syms:
-        if rows | cols:
-            by_col = not rows
-            if by_col:
-                lbit = cols & -cols
-                cols ^= lbit
-            else:
-                lbit = rows & -rows
-                rows ^= lbit
-            line = lbit.bit_length() - 1
-            used, empty, holders = ((col_used, col_empty, sym_rows) if by_col
-                                    else (row_used, row_empty, sym_cols))
-            # naked singles in the line's empty cells
-            spots = empty[line]
-            while spots:
-                sbit = spots & -spots
-                spots ^= sbit
-                spot = sbit.bit_length() - 1
-                r, c = (spot, line) if by_col else (line, spot)
-                cand = full & ~(row_used[r] | col_used[c])
-                if cand == 0:
-                    return False
-                if cand & (cand - 1) == 0:
-                    v = cand.bit_length()
-                    cells[r * n + c] = v
-                    row_used[r] |= cand
-                    col_used[c] |= cand
-                    sym_rows[v] |= 1 << r
-                    sym_cols[v] |= 1 << c
-                    row_empty[r] ^= 1 << c
-                    col_empty[c] ^= 1 << r
-                    rows |= 1 << r
-                    cols |= 1 << c
-                    syms |= cand
-            # hidden singles of the line's missing symbols
-            missing = full & ~used[line]
-            while missing:
-                bit = missing & -missing
-                missing ^= bit
-                v = bit.bit_length()
-                spots = empty[line] & ~holders[v]
-                if spots == 0:
-                    return False
-                if spots & (spots - 1) == 0:
-                    spot = spots.bit_length() - 1
-                    r, c = (spot, line) if by_col else (line, spot)
-                    cells[r * n + c] = v
-                    row_used[r] |= bit
-                    col_used[c] |= bit
-                    sym_rows[v] |= 1 << r
-                    sym_cols[v] |= 1 << c
-                    row_empty[r] ^= 1 << c
-                    col_empty[c] ^= 1 << r
-                    rows |= 1 << r
-                    cols |= 1 << c
-                    syms |= bit
+        if rows:
+            x, bit = 0, rows & -rows
+            rows ^= bit
+        elif cols:
+            x, bit = 1, cols & -cols
+            cols ^= bit
         else:
-            bit = syms & -syms
+            x, bit = 2, syms & -syms
             syms ^= bit
-            v = bit.bit_length()
-            # hidden singles of symbol v in each row, then each column, missing it
-            for by_col in (False, True):
-                lines, empty, holders = ((full & ~sym_cols[v], col_empty, sym_rows) if by_col
-                                         else (full & ~sym_rows[v], row_empty, sym_cols))
-                while lines:
-                    lbit = lines & -lines
-                    lines ^= lbit
-                    line = lbit.bit_length() - 1
-                    spots = empty[line] & ~holders[v]
-                    if spots == 0:
-                        return False
-                    if spots & (spots - 1) == 0:
-                        spot = spots.bit_length() - 1
-                        r, c = (spot, line) if by_col else (line, spot)
-                        cells[r * n + c] = v
-                        row_used[r] |= bit
-                        col_used[c] |= bit
-                        sym_rows[v] |= 1 << r
-                        sym_cols[v] |= 1 << c
-                        row_empty[r] ^= 1 << c
-                        col_empty[c] ^= 1 << r
-                        rows |= 1 << r
-                        cols |= 1 << c
-                        syms |= bit
+        a = bit.bit_length() - 1
+        for xy, xz, yz, y, z in _RULES[x]:
+            free = full ^ tables[xy][a]
+            if not free:  # most rules deep in a search: skip the table reads
+                continue
+            za = tables[xz][a]
+            by_b = tables[yz]
+            while free:
+                bit = free & -free
+                free ^= bit
+                b = bit.bit_length() - 1
+                zs = full ^ (za | by_b[b])
+                if not zs:
+                    return False
+                if zs & (zs - 1) == 0:
+                    za |= zs
+                    t[x] = a
+                    t[y] = b
+                    t[z] = zs.bit_length() - 1
+                    r, c, v = t
+                    cells[r * n + c] = v + 1
+                    rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
+                    rc[r] |= cbit
+                    rv[r] |= vbit
+                    cr[c] |= rbit
+                    cv[c] |= vbit
+                    vr[v] |= rbit
+                    vc[v] |= cbit
+                    rows |= rbit
+                    cols |= cbit
+                    syms |= vbit
     return True
 
 
 def _place(n: int, state: list, r: int, c: int, v: int):
-    """Write symbol v into the empty cell (r, c) of the grid and tables."""
-    cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty = state
+    """Write symbol v (1..n) into the empty cell (r, c) of the grid and
+    its six tables."""
+    cells, rc, rv, cr, cv, vr, vc = state
     cells[r * n + c] = v
-    row_used[r] |= 1 << (v - 1)
-    col_used[c] |= 1 << (v - 1)
-    sym_rows[v] |= 1 << r
-    sym_cols[v] |= 1 << c
-    row_empty[r] ^= 1 << c
-    col_empty[c] ^= 1 << r
+    v -= 1
+    rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
+    rc[r] |= cbit
+    rv[r] |= vbit
+    cr[c] |= rbit
+    cv[c] |= vbit
+    vr[v] |= rbit
+    vc[v] |= cbit
 
 
 def _state(n: int, cells) -> list:
-    """A copy of the flat grid `cells` and the six tables that describe it."""
-    full = (1 << n) - 1
-    cells = list(cells)
-    row_used, col_used = [0] * n, [0] * n
-    sym_rows, sym_cols = [0] * (n + 1), [0] * (n + 1)
-    row_empty, col_empty = [full] * n, [full] * n
-    for r in range(n):
-        rbit = 1 << r
-        for c, v in enumerate(cells[r * n : (r + 1) * n]):
-            if v:
-                bit, cbit = 1 << (v - 1), 1 << c
-                row_used[r] |= bit
-                col_used[c] |= bit
-                sym_rows[v] |= rbit
-                sym_cols[v] |= cbit
-                row_empty[r] ^= cbit
-                col_empty[c] ^= rbit
-    return [cells, row_used, col_used, sym_rows, sym_cols, row_empty, col_empty]
+    """A copy of the flat grid `cells` and the six tables that describe
+    it: `[cells, rc, rv, cr, cv, vr, vc]`."""
+    state = [list(cells)] + [[0] * n for _ in range(6)]
+    for idx, v in enumerate(state[0]):
+        if v:
+            _place(n, state, idx // n, idx % n, v)
+    return state
 
 
 class _Counter:
@@ -254,18 +222,18 @@ class _Counter:
         n = self.n
         if not _propagate_flat(n, *state, rows, cols, syms):
             return
-        cells, row_used, col_used, _, _, row_empty, _ = state
+        cells, rc, rv, _, cv, _, _ = state
         full = (1 << n) - 1
         best_r = best_c = -1
         best_cand = 0
         best_width = n + 1
         for r in range(n):
-            empty = row_empty[r]
+            empty = full ^ rc[r]
             while empty:
                 cbit = empty & -empty
                 empty ^= cbit
                 c = cbit.bit_length() - 1
-                cand = full & ~(row_used[r] | col_used[c])
+                cand = full ^ (rv[r] | cv[c])
                 width = cand.bit_count()
                 if width < best_width:
                     best_r, best_c, best_cand, best_width = r, c, cand, width

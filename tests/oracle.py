@@ -89,6 +89,20 @@ def naive_propagate(p):
     return result("fixed-point")
 
 
+def conjugate(n, cells, axes):
+    """The conjugate of the flat row-major partial square `cells` (0 =
+    empty) that reads every triple's coordinates in the order `axes`, a
+    permutation of (0, 1, 2) = (row, column, symbol): triple t becomes
+    (t[axes[0]], t[axes[1]], t[axes[2]]).  (1, 0, 2) is the transpose."""
+    out = [0] * (n * n)
+    for idx, v in enumerate(cells):
+        if v:
+            t = (idx // n, idx % n, v - 1)
+            r, c, s = (t[k] for k in axes)
+            out[r * n + c] = s + 1
+    return out
+
+
 def naive_is_latin(rows):
     """Row/column permutation check by sets, independent of core's checks."""
     n = len(rows)

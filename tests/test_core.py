@@ -87,6 +87,14 @@ def test_constructor_rejects_duplicates():
         PartialLatinSquare([[1, 0], [1, 0]])
 
 
+def test_constructor_rejects_entries_that_are_not_integers():
+    with pytest.raises(GridError, match=r"^row 1: entry 1\.9 is not an integer$"):
+        PartialLatinSquare([[1.9, 0], [0, 2.5]])
+    with pytest.raises(GridError, match=r"^row 2: entry '2' is not an integer$"):
+        LatinSquare([[1, 2], ["2", 1]])
+    assert PartialLatinSquare([[None, 2], [2, None]]).grid == ((0, 2), (2, 0))
+
+
 def test_order_limits():
     with pytest.raises(GridError):
         PartialLatinSquare([])

@@ -1,13 +1,13 @@
 """Property tests: the solver and its search path against the naive
 oracle, its witnesses and propagation, and completion counts under
-relabeling and transposition, on random partial squares of order <= 4;
-propagation against the oracle's full sweeps at orders up to 8;
-minimize_uc against the oracle on uniquely completable partial squares
-of order <= 5; criticality under relabeling and transposition at
-orders up to 6; the search against the row dynamic program of
-`enumeration`, and uncapped counts against the search, at orders up to
-7; transposition again at orders 5 to 8; and grid text parsing on
-arbitrary input."""
+relabeling and the six conjugates, on random partial squares of order
+<= 4; propagation against the oracle's full sweeps at orders up to 8,
+and under conjugation; minimize_uc against the oracle on uniquely
+completable partial squares of order <= 5; criticality under relabeling
+and conjugation at orders up to 6; the search against the row dynamic
+program of `enumeration`, and uncapped counts against the search, at
+orders up to 7; conjugation again at orders 5 to 8; and grid text
+parsing on arbitrary input."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +33,7 @@ from latincrit.solver import (
     propagate,
 )
 
-from oracle import naive_completions, naive_count, naive_propagate
+from oracle import conjugate, naive_completions, naive_count, naive_propagate
 
 MAX_ORDER = 4
 
@@ -114,6 +114,10 @@ def _square(n, cells):
     return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
 
 
+def _conjugate(p, axes):
+    return _square(p.order, conjugate(p.order, [v for row in p.grid for v in row], axes))
+
+
 @st.composite
 def grid_texts(draw):
     """Arbitrary text, or text shaped like a grid file of order <= 4, with
@@ -183,11 +187,12 @@ def test_uncapped_count_matches_search(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(flat_partial_squares(), dense_subsets(orders=(5, 6, 7, 8))))
-def test_transpose_preserves_completion_count(case):
+@given(st.one_of(flat_partial_squares(), dense_subsets(orders=(5, 6, 7, 8))), st.permutations(range(3)))
+def test_transpose_preserves_completion_count(case, axes):
+    # any of the six conjugates, the transpose among them
     n, cells = case
-    transposed = [cells[c * n + r] for r in range(n) for c in range(n)]
-    assert count_completions(_square(n, transposed)).count == count_completions(_square(n, cells)).count
+    image = conjugate(n, cells, axes)
+    assert count_completions(_square(n, image)).count == count_completions(_square(n, cells)).count
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,16 +223,21 @@ def test_witnesses_are_the_two_smallest_in_text_order(p):
 
 
 @settings(max_examples=100, deadline=None)
-@given(partial_squares())
-def test_propagate_is_idempotent_and_keeps_completions(p):
+@given(partial_squares(), st.permutations(range(3)))
+def test_propagate_is_idempotent_and_keeps_completions(p, axes):
     out, status = propagate(p)
     assert naive_count(out) == naive_count(p)
     again, status_again = propagate(out)
     assert status_again == status
+    # one rule read on all three conjugates: conjugating the square
+    # conjugates its closure
+    image, image_status = propagate(_conjugate(p, axes))
+    assert image_status == status
     # a contradiction stops wherever propagation got to, so only a fixed
     # point must repeat exactly
     if status == FIXED_POINT:
         assert again == out
+        assert image == _conjugate(out, axes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,24 +294,22 @@ def test_minimize_uc_gives_a_critical_subset_with_the_same_completion(p, removal
 @st.composite
 def critical_sets_and_relabelings(draw):
     """A random-order minimize_uc critical set of a random square of
-    order <= 6, that square, and three permutations for relabel."""
+    order <= 6, that square, three permutations for relabel, and a
+    permutation of the three axes for conjugate."""
     n = draw(st.integers(1, 6))
     square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
     c = minimize_uc(square, "random", draw(st.integers(0, 100)))
-    return c, square, [draw(st.permutations(range(n))) for _ in range(3)]
-
-
-def _transpose(p):
-    return p.__class__(zip(*p.grid))
+    return c, square, [draw(st.permutations(range(n))) for _ in range(3)], draw(st.permutations(range(3)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(critical_sets_and_relabelings())
 def test_isotopic_images_and_transposes_of_critical_sets_are_critical(case):
-    # the fact exhaustive lcs rests on: an isotopism (and the transpose)
+    # the fact exhaustive lcs rests on: an isotopism (and any conjugate)
     # carries a critical set of L to a critical set of the image of L
-    c, square, perms = case
-    for image, completion in ((relabel(c, *perms), relabel(square, *perms)), (_transpose(c), _transpose(square))):
+    c, square, perms, axes = case
+    for image, completion in ((relabel(c, *perms), relabel(square, *perms)),
+                              (_conjugate(c, axes), _conjugate(square, axes))):
         report = verify_critical(image)
         assert report.critical
         assert report.completion == completion
