@@ -10,7 +10,7 @@ formulas use exact Python integers at any n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enumeration import count_all
 
@@ -35,8 +35,7 @@ def log_factorial(n: int) -> float:
     return _log_fact[n]
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     """Every bound formula evaluated at one order."""
 
     order: int
@@ -49,8 +48,7 @@ class BoundsRow:
     log_cs_count_upper_coeffs: tuple[float, float]  # ((n^2-2n+1) ln 2, ln n)
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """The counting sandwich at one order: lower bound on ln L(n), the
     exact ln L(n), and the shape-times-entries upper bound."""
 

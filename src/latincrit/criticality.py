@@ -29,9 +29,8 @@ reduced squares.  A class is found as the orbit of one reduced square
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import LatinSquare, PartialLatinSquare, Triple
 from .enumeration import iter_reduced
@@ -50,8 +49,7 @@ KNOWN_LCS = {1: 0, 2: 1, 3: 3, 4: 7, 5: 11, 6: 18}
 EXHAUSTIVE_MAX_ORDER = 5
 
 
-@dataclass(frozen=True)
-class RemovalCheck:
+class RemovalCheck(NamedTuple):
     """Outcome of deleting one entry from a uniquely completable set.
     still_unique means the entry is redundant (a minimality violation);
     otherwise second_completion witnesses the enlarged completion set."""
@@ -61,8 +59,7 @@ class RemovalCheck:
     second_completion: LatinSquare | None
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     uniquely_completable: bool
     minimal: bool
     completion: LatinSquare | None
@@ -79,8 +76,7 @@ class CriticalityReport:
         return tuple(ch.triple for ch in self.removal_checks if ch.still_unique)
 
 
-@dataclass(frozen=True)
-class LcsRecord:
+class LcsRecord(NamedTuple):
     order: int
     value: int
     witness_square: LatinSquare

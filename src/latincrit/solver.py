@@ -36,7 +36,7 @@ a capped count still depend on the search order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import LatinSquare, PartialLatinSquare
 from .enumeration import _count_by_rows, _row_major_fills
@@ -63,8 +63,7 @@ class NotUniqueError(ValueError):
         super().__init__(f"square has {detail}")
 
 
-@dataclass(frozen=True)
-class CompletionReport:
+class CompletionReport(NamedTuple):
     """count is exact unless capped; witnesses are up to two distinct
     completions.  Uncapped, they are the two smallest completions in text
     order (by serialized form); capped, the two smallest among those the
