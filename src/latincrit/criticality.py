@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .core import LatinSquare, PartialLatinSquare, Triple
 from .enumeration import iter_reduced
-from .solver import NotUniqueError, _count_flat, count_completions
+from .solver import NotUniqueError, _count_flat, _state, count_completions
 
 # Known largest-critical-set values for small orders.  Orders 1..5 are
 # recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower
@@ -83,9 +83,30 @@ class LcsRecord(NamedTuple):
     witness_set: PartialLatinSquare
 
 
+def _set_cell(n: int, state: list, idx: int, v: int) -> list:
+    """Write symbol v (0 = empty) into cell idx of a solver state in
+    place and return it.  XOR takes the old symbol out and puts v in; a
+    cell filled before and after toggles rc and cr twice, so stays filled."""
+    cells, rc, rv, cr, cv, vr, vc = state
+    r, c = divmod(idx, n)
+    rbit, cbit = 1 << r, 1 << c
+    for s in (cells[idx], v):
+        if s:
+            sbit = 1 << (s - 1)
+            rc[r] ^= cbit
+            rv[r] ^= sbit
+            cr[c] ^= rbit
+            cv[c] ^= sbit
+            vr[s - 1] ^= rbit
+            vc[s - 1] ^= cbit
+    cells[idx] = v
+    return state
+
+
 def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
     """Full criticality check: unique completability plus, per entry,
-    whether its removal keeps the set uniquely completable."""
+    whether its removal keeps the set uniquely completable, each removal
+    searched on a copy of one solver state with the entry cleared."""
     report = count_completions(c, cap=2)
     if report.count != 1:
         second = report.witnesses[1] if len(report.witnesses) > 1 else None
@@ -98,14 +119,12 @@ def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
         )
     completion = report.witnesses[0]
     n = c.order
-    cells = [v for row in c.grid for v in row]
+    base = _state(n, [v for row in c.grid for v in row])
     completion_cells = tuple([v for row in completion.grid for v in row])
     checks = []
     for t in c.triples():
-        idx = (t.row - 1) * n + t.col - 1
-        cells[idx] = 0
-        count, flats = _count_flat(n, cells, 2)
-        cells[idx] = t.sym
+        state = _set_cell(n, list(map(list.copy, base)), (t.row - 1) * n + t.col - 1, 0)
+        count, flats = _count_flat(n, state[0], 2, state)
         if count == 1:
             checks.append(RemovalCheck(t, True, None))
         else:
@@ -143,13 +162,15 @@ def minimize_uc(
     it agreed there it would complete C, so equal L).  So C minus e is
     uniquely completable exactly when no symbol other than L's at e that
     is free in e's row and column gives a completable grid; with no such
-    symbol the entry goes without a search.
+    symbol the entry goes without a search.  Each query searches a copy
+    of the current set's solver state with one cell changed.
     """
     if removal_order not in ("row-major", "random"):
         raise ValueError(f"unknown removal order {removal_order!r}")
     n = p.order
-    cells = [v for row in p.grid for v in row]
-    count, _ = _count_flat(n, cells, 2)
+    base = _state(n, [v for row in p.grid for v in row])
+    cells, _, rv, _, cv, _, _ = base  # kept in step with base by _set_cell
+    count, _ = _count_flat(n, cells, 2, list(map(list.copy, base)))
     if count != 1:
         raise NotUniqueError(count)
     filled = [idx for idx in range(n * n) if cells[idx]]
@@ -157,17 +178,15 @@ def minimize_uc(
         random.Random(seed).shuffle(filled)
     for idx in filled:
         r, c = divmod(idx, n)
-        kept = cells[idx]
         # symbols already in this cell's row or column, kept included
-        taken = set(cells[r * n : (r + 1) * n]) | set(cells[c::n])
+        taken = rv[r] | cv[c]
         for v in range(1, n + 1):
-            if v not in taken:
-                cells[idx] = v
-                if _count_flat(n, cells, 1)[0]:
-                    cells[idx] = kept
+            if not taken >> (v - 1) & 1:
+                state = _set_cell(n, list(map(list.copy, base)), idx, v)
+                if _count_flat(n, state[0], 1, state)[0]:
                     break
         else:
-            cells[idx] = 0
+            _set_cell(n, base, idx, 0)
     return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
 
 

@@ -17,15 +17,16 @@ placed.  On (row, column) this is a naked single, one candidate left in
 a cell; on (row, symbol) and (column, symbol) a hidden single, one cell
 left for a symbol in a line.  Propagation keeps bit masks of dirty rows,
 columns and symbols, those in a triple placed since the last fixed
-point, and re-checks only the pairs that hold one, one dirty value at a
-time.  The root starts with everything dirty; a branch starts with the
-row, column and symbol of the one placement that made it, since its
-parent was already at a fixed point.  The rule only ever fires or fails
-more as triples are added, so every firing order reaches the same
-closure, and fails exactly when another order does.  The node then
-branches on a cell with the fewest candidates, ties broken in row-major
-order, symbols ascending, each branch on copies of the state, so counts,
-the capped flag, and witnesses are deterministic.
+point, and checks one dirty value at a time, all its pairs in one walk
+over its free partners on one axis.  The root starts with everything
+dirty; a branch starts with the row, column and symbol of the one
+placement that made it, since its parent was already at a fixed point.
+The rule only ever fires or fails more as triples are added, so every
+firing order reaches the same closure, and fails exactly when another
+order does.  The node then branches on a cell with the fewest
+candidates, ties broken in row-major order, symbols ascending, each
+branch on copies of the state, so counts, the capped flag, and
+witnesses are deterministic.
 
 Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
 They close the root under forced moves once, count with the row dynamic
@@ -77,13 +78,11 @@ class CompletionReport(NamedTuple):
 # The axes of a triple are row 0, column 1 and symbol 2.  The state holds
 # the six tables seen[X][Y] in the order of these pairs (X, Y).
 _PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-# The rules of a value on axis X, one for each other axis Y ascending, Z
-# the third: the positions of seen[X][Y], seen[X][Z] and seen[Y][Z] among
-# the tables, then Y and Z.
-_RULES = tuple(
-    tuple((_PAIRS.index((x, y)), _PAIRS.index((x, z)), _PAIRS.index((y, z)), y, z)
-          for y, z in _PAIRS if x not in (y, z))
-    for x in range(3))
+# Per axis X, with Y < Z the other two: the positions of seen[X][Y],
+# seen[X][Z], seen[Y][Z] and seen[Z][Y] among the tables, then Y and Z.
+_AXES = tuple(
+    (_PAIRS.index((x, y)), _PAIRS.index((x, z)), _PAIRS.index((y, z)), _PAIRS.index((z, y)), y, z)
+    for x, y, z in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
 
 
 def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1) -> bool:
@@ -97,14 +96,23 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
     The rule for a pair (a, b) reads only the tables of a and of b, which
     change only with a triple holding a or b, so only pairs with a dirty
     member need checking.  The loop takes one dirty value at a time and
-    clears it: the lowest dirty row, else the lowest dirty column, else
-    the lowest dirty symbol, value a on axis X.  For each other axis Y in
-    ascending order, and each b ascending that is in no triple with a,
-    the third axis Z can take only `full & ~(seen[X][Z][a] |
-    seen[Y][Z][b])`.  If that is empty, propagation fails; if it holds
-    one value, the triple is placed, which marks its row, column and
-    symbol dirty again.  So a value is always checked after its last
-    change, and the loop stops when nothing is dirty.
+    clears it: the lowest dirty row, else column, else symbol, value a on
+    axis X, with Y < Z the other axes.  Both of a's rules read one
+    bipartite graph: the Y values b and the Z values z in no triple with
+    a, b and z joined when in no triple together.  One walk over the b
+    reads each one's partners m: none fails; one is a forced move, which
+    takes b and z out of the graph; more are added to bit-sliced counters,
+    `ones` (z met at least once) and `twos` (at least twice).  After the
+    walk a z outside `ones` has no partner and fails, and the partners of
+    a z outside `twos` are read again.  The moves are placed last, which
+    marks their row, column and symbol dirty, a's among them.
+
+    No table the walk reads changes before its moves are placed, and it
+    tracks which values of a are still free, so the counts of the z are
+    exact when it ends.  A move takes its z from any b walked before it,
+    and a z forced after the walk its b from any z counted with it, so
+    some partners may be gone.  That can hide a move or a failure, never
+    make one, and a is dirty again, so it is checked anew.
 
     The firing order does not change the outcome.  A move that fires on
     a grid still fires on any larger grid reached by sound moves, unless
@@ -131,36 +139,57 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
             x, bit = 2, syms & -syms
             syms ^= bit
         a = bit.bit_length() - 1
-        for xy, xz, yz, y, z in _RULES[x]:
-            free = full ^ tables[xy][a]
-            if not free:  # most rules deep in a search: skip the table reads
-                continue
-            za = tables[xz][a]
-            by_b = tables[yz]
-            while free:
-                bit = free & -free
-                free ^= bit
-                b = bit.bit_length() - 1
-                zs = full ^ (za | by_b[b])
-                if not zs:
-                    return False
-                if zs & (zs - 1) == 0:
-                    za |= zs
-                    t[x] = a
-                    t[y] = b
-                    t[z] = zs.bit_length() - 1
-                    r, c, v = t
-                    cells[r * n + c] = v + 1
-                    rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
-                    rc[r] |= cbit
-                    rv[r] |= vbit
-                    cr[c] |= rbit
-                    cv[c] |= vbit
-                    vr[v] |= rbit
-                    vc[v] |= cbit
-                    rows |= rbit
-                    cols |= cbit
-                    syms |= vbit
+        xy, xz, yz, zy, y, z = _AXES[x]
+        yfree = full ^ tables[xy][a]
+        if not yfree:  # a is in a triple with every value: skip the table reads
+            continue
+        zfree = full ^ tables[xz][a]
+        by_b = tables[yz]
+        ones = twos = 0
+        moves = []  # forced (b bit, z bit) pairs
+        rest = yfree
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            m = zfree & ~by_b[bit.bit_length() - 1]
+            if m & (m - 1):
+                twos |= ones & m
+                ones |= m
+            elif m:
+                yfree ^= bit
+                zfree ^= m
+                moves.append((bit, m))
+            else:
+                return False
+        if zfree & ~ones:
+            return False
+        rest = zfree & ~twos
+        by_z = tables[zy]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            m = yfree & ~by_z[bit.bit_length() - 1]
+            if not m:
+                return False
+            if m & (m - 1) == 0:
+                yfree ^= m
+                moves.append((m, bit))
+        for ybit, zbit in moves:
+            t[x] = a
+            t[y] = ybit.bit_length() - 1
+            t[z] = zbit.bit_length() - 1
+            r, c, v = t
+            cells[r * n + c] = v + 1
+            rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
+            rc[r] |= cbit
+            rv[r] |= vbit
+            cr[c] |= rbit
+            cv[c] |= vbit
+            vr[v] |= rbit
+            vc[v] |= cbit
+            rows |= rbit
+            cols |= cbit
+            syms |= vbit
     return True
 
 
@@ -255,24 +284,25 @@ class _Counter:
                 return
 
 
-def _search_count(n: int, cells: list, cap) -> tuple[int, list]:
+def _search_count(n: int, cells: list, cap, state=None) -> tuple[int, list]:
     """The min-width search on a flat grid (0 = empty).  Returns the count
-    (saturated at cap) and up to two witness grids as flat tuples."""
+    (saturated at cap) and up to two witness grids as flat tuples.  It
+    consumes `state`, if given, in place of `_state(n, cells)`."""
     counter = _Counter(n, cap)
-    counter.search(_state(n, cells))
+    counter.search(_state(n, cells) if state is None else state)
     return counter.count, [w for _, w in counter.best]
 
 
-def _count_flat(n: int, cells: list, cap) -> tuple[int, list]:
+def _count_flat(n: int, cells: list, cap, state=None) -> tuple[int, list]:
     """Core counting on a flat grid (0 = empty); returns what
-    `_search_count` returns.  Uncapped counts of order <=
-    ROW_COUNT_MAX_ORDER take the count from the row dynamic program and
-    the witnesses from the row-major filler: it tries symbols in
-    ascending order, so it yields completions in row-major lexicographic
-    order, which is text order for n <= 9."""
+    `_search_count` returns, and consumes `state` as it does.  Uncapped
+    counts of order <= ROW_COUNT_MAX_ORDER take the count from the row
+    dynamic program and the witnesses from the row-major filler: it tries
+    symbols in ascending order, so it yields completions in row-major
+    lexicographic order, which is text order for n <= 9."""
     if cap is not None or n > ROW_COUNT_MAX_ORDER:
-        return _search_count(n, cells, cap)
-    state = _state(n, cells)
+        return _search_count(n, cells, cap, state)
+    state = _state(n, cells) if state is None else state
     if not _propagate_flat(n, *state):
         return 0, []
     cells = state[0]

@@ -5,7 +5,8 @@ relabeling and the six conjugates, on random partial squares of order
 and under conjugation (also on a fixed seeded set of half-empty grids
 of orders 6 and 7); minimize_uc against the oracle on uniquely
 completable partial squares of order <= 5; criticality under relabeling
-and conjugation at orders up to 6; the search against the row dynamic
+and conjugation at orders up to 6; verify_critical's removal checks
+against counts from scratch at orders up to 7; the search against the row dynamic
 program of `enumeration`, and uncapped counts against the search, at
 orders up to 7; conjugation again at orders 5 to 8; and grid text
 parsing on arbitrary input."""
@@ -314,6 +315,34 @@ def test_minimize_uc_gives_a_critical_subset_with_the_same_completion(p, removal
     # critical sets are fixed points, the monotonicity behind one pass
     assert minimize_uc(c, removal_order, seed) == c
 
+
+@st.composite
+def near_critical_sets(draw):
+    """A random-order minimize_uc critical set of a random square of order
+    <= 7, with up to n drawn entries of that square put back."""
+    n = draw(st.integers(1, 7))
+    square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
+    rows = [list(row) for row in minimize_uc(square, "random", draw(st.integers(0, 100))).grid]
+    for idx in draw(st.lists(st.integers(0, n * n - 1), max_size=n)):
+        r, c = divmod(idx, n)
+        rows[r][c] = square.grid[r][c]
+    return PartialLatinSquare(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(uniquely_completable_squares(), near_critical_sets()))
+def test_removal_checks_match_fresh_counts(p):
+    # every removal check searches a copy of one state shared by the pass,
+    # and must answer as a count of the reduced grid built from scratch
+    report = verify_critical(p)
+    assert report.uniquely_completable
+    assert [ch.triple for ch in report.removal_checks] == list(p.triples())
+    for ch in report.removal_checks:
+        rest = [u for u in p.triples() if u != ch.triple]
+        fresh = count_completions(PartialLatinSquare.from_triples(p.order, rest), cap=2)
+        assert ch.still_unique == (fresh.count == 1)
+        others = [w for w in fresh.witnesses if w != report.completion]
+        assert ch.second_completion == (others[0] if others else None)
 
 
 @st.composite

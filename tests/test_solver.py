@@ -22,7 +22,7 @@ from latincrit.solver import (
     unique_completion,
 )
 
-from oracle import naive_completions, naive_count
+from oracle import naive_completions, naive_count, naive_propagate
 
 # Derived by brute force (tests/oracle.py): the single completion of the
 # classic 5x5 critical set.
@@ -80,6 +80,40 @@ def test_propagate_preserves_completion_set():
         p = _random_partial(rng.randint(1, 4), seed=trial)
         out, _ = propagate(p)
         assert naive_count(out) == naive_count(p)
+
+
+# Propagation checks row 1 first, in one walk over its free columns.  The
+# walk forces (1,2) = 3 and (1,4) = 4, and counts symbols 1 and 2 once
+# each, both in column 3.  After the walk symbol 1 is a hidden single at
+# (1,3), which takes the one cell counted for symbol 2: symbol 2 has no
+# cell left, and must fail rather than go to (1,3) as well.
+STALE_COUNT_OF_ONE = [[0, 0, 0, 0], [1, 2, 0, 0], [0, 1, 0, 2], [2, 4, 0, 1]]
+# Row 1's walk counts symbol 2 twice (columns 1 and 2), forces (1,4) = 3,
+# and after the walk places symbol 1, a hidden single, at (1,1).  Symbol 2
+# is then left with (1,2) only, though counted twice; row 1 is dirty
+# again, and its second check reaches the closure.
+STALE_COUNT_OF_TWO = [[0, 0, 4, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 0, 0]]
+
+
+def test_propagate_stale_count_of_one_fails():
+    p = PartialLatinSquare(STALE_COUNT_OF_ONE)
+    assert naive_propagate(p)[1] == CONTRADICTION
+    assert propagate(p)[1] == CONTRADICTION
+    # the tables still describe the grid: no cell was written twice
+    state = solver._state(4, [v for row in STALE_COUNT_OF_ONE for v in row])
+    assert not solver._propagate_flat(4, *state)
+    assert state == solver._state(4, state[0])
+
+
+def test_propagate_stale_count_of_two_reaches_closure():
+    p = PartialLatinSquare(STALE_COUNT_OF_TWO)
+    out, status = propagate(p)
+    assert (out.grid, status) == naive_propagate(p)
+    assert status == FIXED_POINT and out.grid[0] == (1, 2, 4, 3)
+    # with only row 1 dirty, no other value's check can place (1,2) = 2
+    state = solver._state(4, [v for row in STALE_COUNT_OF_TWO for v in row])
+    assert solver._propagate_flat(4, *state, 1, 0, 0)
+    assert state[0][:4] == [1, 2, 4, 3]
 
 
 def test_count_empty_order_3():
