@@ -6,9 +6,13 @@ total count satisfies L(n) = n! * (n-1)! * R(n), so reduced squares are
 enough and a factor n!*(n-1)! fewer.  `iter_reduced` lists them with a
 row-major filler.  `count_all` does not list them: it gets R(n) from a
 row-by-row dynamic program over column states, which merges the partial
-squares whose columns hold the same symbols; `solver` counts uncapped
-completions of small orders with the same program.  Counts are exact
-Python integers throughout (L(6) = 812,851,200 exceeds 32 bits).
+squares whose columns hold the same symbols up to a swap of columns free
+in exactly the same rows still to fill.  Swapping two such columns' cells
+in every later row matches the completions of the two states one to one.
+A later given counts only through its column's symbols, which hold it,
+and its row's, which the swap leaves alone.  `solver` counts
+uncapped completions of small orders with the same program.  Counts are
+exact Python integers (L(6) = 812,851,200 exceeds 32 bits).
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from typing import Iterator, NamedTuple
 
 from .core import LatinSquare
 
-# R(7) = 16,942,080 is counted in seconds; at order 8 the row program's
-# state sets blow up.
+# R(7) = 16,942,080 is counted in 0.3-0.5 s (2-vCPU Xeon, Python 3.11).
+# R(8) is out of reach: after its first four rows the state sets hold 1;
+# 1,642; 96,367; 367,458 states, at 82 s and 1.5 GB resident.
 COUNT_MAX_ORDER = 7
 # Order 6 lists 9,408 reduced squares in about half a second; order 7
 # would list all 16,942,080.
@@ -92,8 +97,8 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
 # The last free cells of a row, up to this many, are filled together from a
 # table of the placements of the row's remaining symbols, built once per
 # remaining set.  On the 240 grids of the `count` benchmark the program
-# took 1.74 s at 3, against 2.12 s at 2 and 1.83 s at 4 (2-vCPU Xeon,
-# Python 3.11).
+# took 0.68 s at 3, against 0.81 s at 2 and 0.71 s at 4, and R(6) 4.1 ms
+# against 4.6 and 4.3 ms (best of 7, 2-vCPU Xeon, Python 3.11).
 _TAIL_CELLS = 3
 
 
@@ -106,23 +111,33 @@ def _count_by_rows(n: int, cells: list) -> int:
     Fills one row at a time.  Once some rows are filled, the rest of the
     square depends only on the symbols in each column, so `states` maps
     each column state to the number of ways to reach it, and fillings
-    that reach the same state merge.  A state is one int: column c's
-    symbol mask sits at bits c*n .. c*n+n-1.  The masks start with every
-    given symbol of their column, so a free cell never takes a symbol
-    given elsewhere in its column.  Rows go fewest free cells first, which
-    keeps the early state sets small; the count does not depend on the
-    order."""
+    that reach the same state merge.  Columns free in exactly the same
+    rows still to fill form a group.  Swapping two of them in every later
+    row maps the completions of a state onto those of the state with their
+    masks swapped.  So each group's masks are sorted, and such states merge.
+    A state is one int, a byte per column (so n <= 8) in an order that
+    makes each group one run of bytes.  The masks start with every given
+    symbol of their column, so a free cell never takes a symbol given
+    elsewhere in its column.  Rows go fewest free cells first, which keeps
+    the early state sets small; the count does not depend on the order."""
+    if n > 8:
+        raise ValueError(f"the row program packs a column into one byte: orders 1..8, got {n}")
     full = (1 << n) - 1
+    rows = sorted(range(n), key=lambda r: cells[r * n : (r + 1) * n].count(0))
+    # bit k of where[c]: column c is free in rows[k]
+    where = [sum(1 << k for k, r in enumerate(rows) if not cells[r * n + c]) for c in range(n)]
+    columns = sorted(range(n), key=where.__getitem__)  # in this order every group is a run
+    cells = [cells[r * n + c] for r in range(n) for c in columns]
     row_given = [0] * n
     start = 0
     for idx, v in enumerate(cells):
         if v:
             r, c = divmod(idx, n)
             row_given[r] |= 1 << (v - 1)
-            start |= 1 << (c * n + v - 1)
-    free = [[c * n for c in range(n) if not cells[r * n + c]] for r in range(n)]  # bit offsets
+            start |= 1 << (8 * c + v - 1)
+    free = [[8 * c for c in range(n) if not cells[r * n + c]] for r in range(n)]  # bit offsets
     states = {start: 1}
-    for r in sorted(range(n), key=lambda r: len(free[r])):
+    for done, r in enumerate(rows, 1):
         head, tail = free[r][:-_TAIL_CELLS], free[r][-_TAIL_CELLS:]
         placements = {}  # row mask after `head` -> the remaining symbols laid out over `tail`
         reached = defaultdict(int)
@@ -148,6 +163,17 @@ def _count_by_rows(n: int, cells: list) -> int:
                     if not fit & cols:
                         reached[cols | fit] += ways
         states = reached
+        ahead = [where[c] >> done for c in columns]  # where each column is free in the rows left
+        ends = [p for p in range(1, n) if ahead[p] != ahead[p - 1]] + [n]
+        groups = [(a, b) for a, b in zip([0] + ends, ends) if b - a > 1 and ahead[a]]
+        if groups:
+            merged = defaultdict(int)
+            for state, ways in states.items():
+                masks = state.to_bytes(n, "little")
+                for a, b in groups:
+                    masks = masks[:a] + bytes(sorted(masks[a:b])) + masks[b:]
+                merged[int.from_bytes(masks, "little")] += ways
+            states = merged
     return sum(states.values())
 
 

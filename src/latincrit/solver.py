@@ -49,10 +49,12 @@ CONTRADICTION = "contradiction"
 # orders search.  Measured against the search on 100-175 grids per order
 # (critical sets, random hole fractions, grids with no completion; 2-vCPU
 # Xeon, Python 3.11): at orders 5-7 the program took 6-7x less time in
-# total and lost at most 3 ms on any grid.  At order 8 it lost up to
-# 18 ms on a grid and 3x in total on critical sets, and at order 10 up
-# to 1.4 s on a critical set.
-ROW_COUNT_MAX_ORDER = 7
+# total and lost at most 3 ms on any grid.  At order 8, with states equal
+# up to a swap of columns merged, 100 grids (52 critical sets, 33 with
+# 24-44 holes, 15 with no completion) took it 1.5 s against 9.3 s, and it
+# lost at most 8-12 ms on a grid, a critical set.  At order 10 it lost up
+# to 1.4 s on a critical set; a state holds a byte per column, so n <= 8.
+ROW_COUNT_MAX_ORDER = 8
 
 
 class NotUniqueError(ValueError):

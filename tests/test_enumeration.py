@@ -85,6 +85,19 @@ def test_order_6_counts():
     assert result.total_count == 812_851_200
 
 
+def test_order_7_counts():
+    # the largest order count_all accepts; under a second with merged states
+    result = count_all(7)
+    assert result.reduced_count == 16_942_080
+    assert result.total_count == 61_479_419_904_000
+
+
+def test_row_program_refuses_orders_above_8():
+    # a state holds one byte per column
+    with pytest.raises(ValueError):
+        _count_by_rows(9, [0] * 81)
+
+
 def test_order_must_be_positive():
     with pytest.raises(ValueError):
         count_all(0)

@@ -8,13 +8,14 @@ completable partial squares of order <= 5; criticality under relabeling
 and conjugation at orders up to 6; verify_critical's removal checks
 against counts from scratch at orders up to 7; the search against the row dynamic
 program of `enumeration`, and uncapped counts against the search, at
-orders up to 7; conjugation again at orders 5 to 8; and grid text
-parsing on arbitrary input."""
+orders up to 7; the row program's merging of interchangeable columns
+against the search and the oracle at orders up to 6; conjugation again
+at orders 5 to 8; and grid text parsing on arbitrary input."""
 
 import random
 from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latincrit import solver
@@ -99,6 +100,25 @@ def dense_subsets(draw, orders=(5, 6, 7)):
 
 
 @st.composite
+def grouped_column_subsets(draw):
+    """A random square of order <= 6 whose columns fall into up to three
+    groups, each group emptied in one drawn set of rows, so the columns of
+    a group are free in the same rows; in a row it keeps, a group's columns
+    hold different symbols, as in any Latin square.  Group row sets are a
+    shared base plus at most one row each, so groups often differ in one
+    row only."""
+    n = draw(st.integers(2, 6))
+    square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
+    group = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    base = draw(st.sets(st.integers(0, n - 1)))
+    emptied = [base | draw(st.sets(st.integers(0, n - 1), max_size=1)) for _ in range(3)]
+    cells = [0 if r in emptied[group[c]] else v
+             for r, row in enumerate(square.grid) for c, v in enumerate(row)]
+    assume(cells.count(0) <= MAX_HOLES.get(n, n * n))
+    return n, cells
+
+
+@st.composite
 def half_empty_subsets(draw):
     """A random square of order 5 to 8 with at least half of its cells
     emptied, which forced moves seldom complete."""
@@ -163,7 +183,7 @@ def test_solver_count_matches_oracle(p):
 @given(partial_squares())
 def test_search_matches_oracle(p):
     # count_completions reaches the search only when capped or from order
-    # 8 on, so the search path gets its own oracle check
+    # 9 on, so the search path gets its own oracle check
     n = p.order
     cells = [v for row in p.grid for v in row]
     count, flats = _search_count(n, cells, None)
@@ -178,6 +198,18 @@ def test_search_matches_oracle(p):
 def test_solver_count_matches_row_dynamic_program(case):
     n, cells = case
     assert _search_count(n, cells, None)[0] == _count_by_rows(n, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_column_subsets())
+def test_row_program_merges_only_interchangeable_columns(case):
+    # columns free in the same rows still to fill are interchangeable, and
+    # the row program merges states that differ by swapping them
+    n, cells = case
+    count = _count_by_rows(n, cells)
+    assert count == _search_count(n, cells, None)[0]
+    if n <= 5:
+        assert count == naive_count(_square(n, cells))
 
 
 @settings(max_examples=150, deadline=None)
