@@ -36,13 +36,14 @@ def log_factorial(n: int) -> float:
 
 
 class BoundsRow(NamedTuple):
-    """Every bound formula evaluated at one order."""
+    """Every bound formula evaluated at one order; the two divided by
+    ln n are None at n = 1."""
 
     order: int
     nelder: int
     bm_upper: int
-    theorem1: float
-    exact_counting_lower: float
+    theorem1: float | None
+    exact_counting_lower: float | None
     svr: int | None  # present iff order is a power of two
     log_Ln_lower: float
     log_cs_count_upper_coeffs: tuple[float, float]  # ((n^2-2n+1) ln 2, ln n)
@@ -97,16 +98,18 @@ def log_Ln_lower(n: int) -> float:
     return 2.0 * n * log_factorial(n) - float(n * n) * math.log(n)
 
 
+def _log_shapes(n: int) -> float:
+    """(n^2-2n+1) ln 2, the shape term of the upper bound on ln L(n)."""
+    return (n * n - 2 * n + 1) * LN2
+
+
 def exact_counting_lower(n: int) -> float:
     """(2n ln n! - n^2 ln n - (n^2-2n+1) ln 2) / ln n: the final bound with
     exact ln n! kept in place of the Stirling substitute.  Never below
     theorem1_lower, which gave away the Stirling slack."""
     if n < 2:
         raise ValueError(f"defined for n >= 2 only, got {n}")
-    ln_n = math.log(n)
-    return (
-        2.0 * n * log_factorial(n) - n * n * ln_n - (n * n - 2 * n + 1) * LN2
-    ) / ln_n
+    return (log_Ln_lower(n) - _log_shapes(n)) / math.log(n)
 
 
 def stirling_check(n: int) -> bool:
@@ -125,7 +128,7 @@ def check_chain(n: int, lcs_value: int) -> ChainCheck:
     raise."""
     lhs = log_Ln_lower(n)
     mid = math.log(count_all(n).total_count)
-    rhs = (n * n - 2 * n + 1) * LN2 + lcs_value * math.log(n)
+    rhs = _log_shapes(n) + lcs_value * math.log(n)
     holds = lhs <= mid + LOG_TOL and mid <= rhs + LOG_TOL
     return ChainCheck(order=n, lhs_log=lhs, mid_log=mid, rhs_log=rhs, holds=holds)
 
@@ -146,8 +149,8 @@ def crossover() -> int:
 
 def bounds_table(n_from: int, n_to: int) -> list[BoundsRow]:
     """One row per order in [n_from, n_to], all formulas evaluated."""
-    if not 2 <= n_from <= n_to:
-        raise ValueError(f"need 2 <= n_from <= n_to, got {n_from}..{n_to}")
+    if not 1 <= n_from <= n_to:
+        raise ValueError(f"need 1 <= n_from <= n_to, got {n_from}..{n_to}")
     rows = []
     for n in range(n_from, n_to + 1):
         m = n.bit_length() - 1
@@ -157,11 +160,11 @@ def bounds_table(n_from: int, n_to: int) -> list[BoundsRow]:
                 order=n,
                 nelder=nelder_bound(n),
                 bm_upper=bm_upper(n),
-                theorem1=theorem1_lower(n),
-                exact_counting_lower=exact_counting_lower(n),
+                theorem1=theorem1_lower(n) if n > 1 else None,  # ln 1 = 0
+                exact_counting_lower=exact_counting_lower(n) if n > 1 else None,
                 svr=svr,
                 log_Ln_lower=log_Ln_lower(n),
-                log_cs_count_upper_coeffs=((n * n - 2 * n + 1) * LN2, math.log(n)),
+                log_cs_count_upper_coeffs=(_log_shapes(n), math.log(n)),
             )
         )
     return rows

@@ -156,6 +156,10 @@ def _fmt_svr(v) -> str:
     return "" if v is None else str(v)
 
 
+def _fmt_log(v) -> str:
+    return "undefined" if v is None else f"{v:.4f}"
+
+
 def _cmd_bounds(args) -> int:
     if args.crossover:
         print(bounds_mod.crossover())
@@ -170,27 +174,19 @@ def _cmd_bounds(args) -> int:
         "n", "nelder", "bm_upper", "svr", "theorem1",
         "exact_counting_lower", "log_Ln_lower", "log2_shape_term", "ln_n",
     ]
-    table = []
-    if args.n_from == 1:
-        # ln 1 = 0 leaves the analytic bound undefined at n = 1
-        table.append(["1", "0", "1", "", "undefined", "undefined", "0.0000", "0.0000", "0.0000"])
-    if args.n_to >= 2:
-        rows = bounds_mod.bounds_table(max(args.n_from, 2), args.n_to)
-    else:
-        rows = []
-    table += [
+    table = [
         [
             str(r.order),
             str(r.nelder),
             str(r.bm_upper),
             _fmt_svr(r.svr),
-            f"{r.theorem1:.4f}",
-            f"{r.exact_counting_lower:.4f}",
+            _fmt_log(r.theorem1),
+            _fmt_log(r.exact_counting_lower),
             f"{r.log_Ln_lower:.4f}",
             f"{r.log_cs_count_upper_coeffs[0]:.4f}",
             f"{r.log_cs_count_upper_coeffs[1]:.4f}",
         ]
-        for r in rows
+        for r in bounds_mod.bounds_table(args.n_from, args.n_to)
     ]
     if args.csv:
         print(",".join(header))
@@ -308,10 +304,7 @@ def main(argv=None) -> int:
         # exit does not fail on the same pipe again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (GridError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # GridError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,10 @@
 
 Grid text format (the unit of exchange for the CLI and all fixtures):
 line 1 is the order n, lines 2..n+1 hold n whitespace-separated tokens,
-each "." (empty) or an integer 1..n.  "0" is accepted as a synonym for
-"." on input; canonical output uses ".", single spaces, and a trailing
-newline.
+each "." (empty) or an integer 1..n.  Numbers are ASCII decimal digits
+only, with no sign, underscore or other script.  "0" is accepted as a
+synonym for "." on input; canonical output uses ".", single spaces, and
+a trailing newline.
 
 Coordinates are 1-indexed in all external formats and in Triple values;
 the internal grid tuples are 0-indexed with 0 marking an empty cell.
@@ -151,9 +152,16 @@ class LatinSquare(PartialLatinSquare):
         # each row and column is a permutation of 1..n.
 
 
+def _is_decimal(tok: str) -> bool:
+    """ASCII digits only: int() would also take a sign, underscores and
+    the digits of other scripts."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_partial(text: str) -> PartialLatinSquare:
-    """Parse grid text.  Rejects dimension mismatches, out-of-range
-    symbols, and row/column duplicates."""
+    """Parse grid text.  Rejects dimension mismatches, tokens other than
+    "." and ASCII decimal numbers, out-of-range symbols, and row/column
+    duplicates."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -162,10 +170,9 @@ def parse_partial(text: str) -> PartialLatinSquare:
     head = lines[0].split()
     if len(head) != 1:
         raise GridError("first line must contain only the order")
-    try:
-        n = int(head[0])
-    except ValueError:
-        raise GridError(f"order is not an integer: {head[0]!r}") from None
+    if not _is_decimal(head[0]):
+        raise GridError(f"order is not an integer: {head[0]!r}")
+    n = int(head[0])
     if not 1 <= n <= MAX_ORDER:
         raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")
     if len(lines) - 1 != n:
@@ -179,11 +186,10 @@ def parse_partial(text: str) -> PartialLatinSquare:
         for tok in tokens:
             if tok in (".", "0"):
                 row.append(0)
+            elif not _is_decimal(tok):
+                raise GridError(f"row {i}: bad token {tok!r}")
             else:
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise GridError(f"row {i}: bad token {tok!r}") from None
+                v = int(tok)
                 if not 1 <= v <= n:
                     raise GridError(f"row {i}: symbol {v} out of range 1..{n}")
                 row.append(v)

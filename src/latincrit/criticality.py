@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .core import LatinSquare, PartialLatinSquare, Triple
 from .enumeration import iter_reduced
-from .solver import NotUniqueError, _count_flat, _state, count_completions
+from .solver import NotUniqueError, _count_flat, _set_cell, _state
 
 # Known largest-critical-set values for small orders.  Orders 1..5 are
 # recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower
@@ -83,59 +83,41 @@ class LcsRecord(NamedTuple):
     witness_set: PartialLatinSquare
 
 
-def _set_cell(n: int, state: list, idx: int, v: int) -> list:
-    """Write symbol v (0 = empty) into cell idx of a solver state in
-    place and return it.  XOR takes the old symbol out and puts v in; a
-    cell filled before and after toggles rc and cr twice, so stays filled."""
-    cells, rc, rv, cr, cv, vr, vc = state
-    r, c = divmod(idx, n)
-    rbit, cbit = 1 << r, 1 << c
-    for s in (cells[idx], v):
-        if s:
-            sbit = 1 << (s - 1)
-            rc[r] ^= cbit
-            rv[r] ^= sbit
-            cr[c] ^= rbit
-            cv[c] ^= sbit
-            vr[s - 1] ^= rbit
-            vc[s - 1] ^= cbit
-    cells[idx] = v
-    return state
+def _square(n: int, flat) -> LatinSquare:
+    return LatinSquare([flat[r * n : (r + 1) * n] for r in range(n)])
 
 
 def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
     """Full criticality check: unique completability plus, per entry,
-    whether its removal keeps the set uniquely completable, each removal
-    searched on a copy of one solver state with the entry cleared."""
-    report = count_completions(c, cap=2)
-    if report.count != 1:
-        second = report.witnesses[1] if len(report.witnesses) > 1 else None
+    whether its removal keeps the set uniquely completable.  Every check
+    searches a copy of the set's one solver state, each removal with its
+    entry cleared."""
+    n = c.order
+    base = _state(n, [v for row in c.grid for v in row])
+    count, flats = _count_flat(n, list(map(list.copy, base)), 2)
+    if count != 1:
         return CriticalityReport(
             uniquely_completable=False,
             minimal=False,
             completion=None,
-            second_completion=second,
+            second_completion=_square(n, flats[1]) if len(flats) > 1 else None,
             removal_checks=(),
         )
-    completion = report.witnesses[0]
-    n = c.order
-    base = _state(n, [v for row in c.grid for v in row])
-    completion_cells = tuple([v for row in completion.grid for v in row])
+    completion_cells = flats[0]
     checks = []
     for t in c.triples():
         state = _set_cell(n, list(map(list.copy, base)), (t.row - 1) * n + t.col - 1, 0)
-        count, flats = _count_flat(n, state[0], 2, state)
+        count, flats = _count_flat(n, state, 2)
         if count == 1:
             checks.append(RemovalCheck(t, True, None))
         else:
             # count == 2: removal cannot empty the completion set
             other = next(w for w in flats if w != completion_cells)
-            second = LatinSquare([other[r * n : (r + 1) * n] for r in range(n)])
-            checks.append(RemovalCheck(t, False, second))
+            checks.append(RemovalCheck(t, False, _square(n, other)))
     return CriticalityReport(
         uniquely_completable=True,
         minimal=not any(ch.still_unique for ch in checks),
-        completion=completion,
+        completion=_square(n, completion_cells),
         second_completion=None,
         removal_checks=tuple(checks),
     )
@@ -169,8 +151,8 @@ def minimize_uc(
         raise ValueError(f"unknown removal order {removal_order!r}")
     n = p.order
     base = _state(n, [v for row in p.grid for v in row])
-    cells, _, rv, _, cv, _, _ = base  # kept in step with base by _set_cell
-    count, _ = _count_flat(n, cells, 2, list(map(list.copy, base)))
+    cells = base[0]  # the grid of the current set, kept in step by _set_cell
+    count, _ = _count_flat(n, list(map(list.copy, base)), 2)
     if count != 1:
         raise NotUniqueError(count)
     filled = [idx for idx in range(n * n) if cells[idx]]
@@ -179,12 +161,10 @@ def minimize_uc(
     for idx in filled:
         r, c = divmod(idx, n)
         # symbols already in this cell's row or column, kept included
-        taken = rv[r] | cv[c]
+        taken = set(cells[r * n : r * n + n] + cells[c::n])
         for v in range(1, n + 1):
-            if not taken >> (v - 1) & 1:
-                state = _set_cell(n, list(map(list.copy, base)), idx, v)
-                if _count_flat(n, state[0], 1, state)[0]:
-                    break
+            if v not in taken and _count_flat(n, _set_cell(n, list(map(list.copy, base)), idx, v), 1)[0]:
+                break
         else:
             _set_cell(n, base, idx, 0)
     return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])

@@ -31,6 +31,8 @@ COUNT_MAX_ORDER = 7
 # Order 6 lists 9,408 reduced squares in about half a second; order 7
 # would list all 16,942,080.
 LIST_MAX_ORDER = 6
+# `_count_by_rows` packs a column's symbols into one byte of its state.
+ROW_COUNT_MAX_ORDER = 8
 
 
 class EnumerationResult(NamedTuple):
@@ -115,13 +117,15 @@ def _count_by_rows(n: int, cells: list) -> int:
     rows still to fill form a group.  Swapping two of them in every later
     row maps the completions of a state onto those of the state with their
     masks swapped.  So each group's masks are sorted, and such states merge.
-    A state is one int, a byte per column (so n <= 8) in an order that
-    makes each group one run of bytes.  The masks start with every given
-    symbol of their column, so a free cell never takes a symbol given
-    elsewhere in its column.  Rows go fewest free cells first, which keeps
-    the early state sets small; the count does not depend on the order."""
-    if n > 8:
-        raise ValueError(f"the row program packs a column into one byte: orders 1..8, got {n}")
+    A state is one int, a byte per column (so n <= ROW_COUNT_MAX_ORDER),
+    in an order that makes each group one run of bytes.  The masks start
+    with every given symbol of their column, so a free cell never takes a
+    symbol given elsewhere in its column.  Rows go fewest free cells first,
+    which keeps the early state sets small; the count does not depend on
+    the order."""
+    if n > ROW_COUNT_MAX_ORDER:
+        raise ValueError(f"the row program packs a column into one byte: orders 1..{ROW_COUNT_MAX_ORDER}, "
+                         f"got {n}")
     full = (1 << n) - 1
     rows = sorted(range(n), key=lambda r: cells[r * n : (r + 1) * n].count(0))
     # bit k of where[c]: column c is free in rows[k]

@@ -8,6 +8,9 @@ share a triple with value a of X.  The tables are named by their axes,
 r (row), c (column) and v (symbol): `rv[r]` holds the symbols of row r,
 `vr[v]` the rows that hold symbol v, and `rc[r]` the filled cells of
 row r.  Symbols are 0-based in the tables (symbol v at bit v - 1).
+Only this module reads the tables.  `_set_cell` writes a cell and its
+tables; propagation inlines it.  Other modules build a state with
+`_state`, edit it with `_set_cell` and count from it with `_count_flat`.
 
 Each node first closes under forced moves, which are one rule read on
 the three conjugates of the square: two values of two axes that are in
@@ -40,21 +43,21 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import LatinSquare, PartialLatinSquare
-from .enumeration import _count_by_rows, _row_major_fills
+from .enumeration import ROW_COUNT_MAX_ORDER, _count_by_rows, _row_major_fills
 
 FIXED_POINT = "fixed-point"
 CONTRADICTION = "contradiction"
 
-# Uncapped counts up to this order use the row dynamic program; larger
-# orders search.  Measured against the search on 100-175 grids per order
-# (critical sets, random hole fractions, grids with no completion; 2-vCPU
-# Xeon, Python 3.11): at orders 5-7 the program took 6-7x less time in
-# total and lost at most 3 ms on any grid.  At order 8, with states equal
-# up to a swap of columns merged, 100 grids (52 critical sets, 33 with
-# 24-44 holes, 15 with no completion) took it 1.5 s against 9.3 s, and it
-# lost at most 8-12 ms on a grid, a critical set.  At order 10 it lost up
-# to 1.4 s on a critical set; a state holds a byte per column, so n <= 8.
-ROW_COUNT_MAX_ORDER = 8
+# Uncapped counts up to ROW_COUNT_MAX_ORDER, every order the row dynamic
+# program takes, use the program; larger orders search.  Measured against
+# the search on 100-175 grids per order (critical sets, random hole
+# fractions, grids with no completion; 2-vCPU Xeon, Python 3.11): at
+# orders 5-7 the program took 6-7x less time in total and lost at most
+# 3 ms on any grid.  At order 8, with states equal up to a swap of columns
+# merged, 100 grids (52 critical sets, 33 with 24-44 holes, 15 with no
+# completion) took it 1.5 s against 9.3 s, and it lost at most 8-12 ms on
+# a grid, a critical set.  At order 10 it lost up to 1.4 s on a critical
+# set.
 
 
 class NotUniqueError(ValueError):
@@ -122,7 +125,7 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
     stays a failure.  So any two orders place the same moves: both end
     at the same fixed point, or both fail.  Where propagation fails, the
     grid holds whatever was placed before it stopped.  The placement
-    inlines `_place`: a call per forced cell costs about 8% of counting
+    inlines `_set_cell`: a call per forced cell costs about 8% of counting
     time."""
     full = (1 << n) - 1  # every table bit lies in full, so full ^ m is its complement
     tables = (rc, rv, cr, cv, vr, vc)
@@ -195,28 +198,34 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
     return True
 
 
-def _place(n: int, state: list, r: int, c: int, v: int):
-    """Write symbol v (1..n) into the empty cell (r, c) of the grid and
-    its six tables."""
+def _set_cell(n: int, state: list, idx: int, v: int) -> list:
+    """Write symbol v (0 = empty) into cell idx of a solver state in
+    place and return it.  XOR takes the old symbol out and puts v in; a
+    cell filled before and after toggles rc and cr twice, so stays filled."""
     cells, rc, rv, cr, cv, vr, vc = state
-    cells[r * n + c] = v
-    v -= 1
-    rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
-    rc[r] |= cbit
-    rv[r] |= vbit
-    cr[c] |= rbit
-    cv[c] |= vbit
-    vr[v] |= rbit
-    vc[v] |= cbit
+    r, c = divmod(idx, n)
+    rbit, cbit = 1 << r, 1 << c
+    for s in (cells[idx], v):
+        if s:
+            sbit = 1 << (s - 1)
+            rc[r] ^= cbit
+            rv[r] ^= sbit
+            cr[c] ^= rbit
+            cv[c] ^= sbit
+            vr[s - 1] ^= rbit
+            vc[s - 1] ^= cbit
+    cells[idx] = v
+    return state
 
 
 def _state(n: int, cells) -> list:
-    """A copy of the flat grid `cells` and the six tables that describe
-    it: `[cells, rc, rv, cr, cv, vr, vc]`."""
-    state = [list(cells)] + [[0] * n for _ in range(6)]
-    for idx, v in enumerate(state[0]):
+    """The solver state of the flat grid `cells` (0 = empty), which it
+    copies: the grid and the six tables that describe it,
+    `[cells, rc, rv, cr, cv, vr, vc]`."""
+    state = [[0] * (n * n)] + [[0] * n for _ in range(6)]
+    for idx, v in enumerate(cells):
         if v:
-            _place(n, state, idx // n, idx % n, v)
+            _set_cell(n, state, idx, v)
     return state
 
 
@@ -278,33 +287,31 @@ class _Counter:
         while cand:
             bit = cand & -cand
             cand ^= bit
-            branch = list(map(list.copy, state))
-            _place(n, branch, best_r, best_c, bit.bit_length())
+            branch = _set_cell(n, list(map(list.copy, state)), best_r * n + best_c, bit.bit_length())
             # the parent is at a fixed point: only this placement is new
             self.search(branch, 1 << best_r, 1 << best_c, bit)
             if self.cap is not None and self.count >= self.cap:
                 return
 
 
-def _search_count(n: int, cells: list, cap, state=None) -> tuple[int, list]:
-    """The min-width search on a flat grid (0 = empty).  Returns the count
-    (saturated at cap) and up to two witness grids as flat tuples.  It
-    consumes `state`, if given, in place of `_state(n, cells)`."""
+def _search_count(n: int, state: list, cap) -> tuple[int, list]:
+    """The min-width search from a solver state, which it consumes.
+    Returns the count (saturated at cap) and up to two witness grids as
+    flat tuples."""
     counter = _Counter(n, cap)
-    counter.search(_state(n, cells) if state is None else state)
+    counter.search(state)
     return counter.count, [w for _, w in counter.best]
 
 
-def _count_flat(n: int, cells: list, cap, state=None) -> tuple[int, list]:
-    """Core counting on a flat grid (0 = empty); returns what
-    `_search_count` returns, and consumes `state` as it does.  Uncapped
-    counts of order <= ROW_COUNT_MAX_ORDER take the count from the row
-    dynamic program and the witnesses from the row-major filler: it tries
-    symbols in ascending order, so it yields completions in row-major
-    lexicographic order, which is text order for n <= 9."""
+def _count_flat(n: int, state: list, cap) -> tuple[int, list]:
+    """Core counting from a solver state, which it consumes; returns what
+    `_search_count` returns.  Uncapped counts of order <=
+    ROW_COUNT_MAX_ORDER take the count from the row dynamic program and
+    the witnesses from the row-major filler: it tries symbols in ascending
+    order, so it yields completions in row-major lexicographic order,
+    which is text order for n <= 9."""
     if cap is not None or n > ROW_COUNT_MAX_ORDER:
-        return _search_count(n, cells, cap, state)
-    state = _state(n, cells) if state is None else state
+        return _search_count(n, state, cap)
     if not _propagate_flat(n, *state):
         return 0, []
     cells = state[0]
@@ -332,7 +339,7 @@ def count_completions(p: PartialLatinSquare, cap: int | None = None) -> Completi
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     n = p.order
-    count, flats = _count_flat(n, [v for row in p.grid for v in row], cap)
+    count, flats = _count_flat(n, _state(n, [v for row in p.grid for v in row]), cap)
     witnesses = tuple(
         LatinSquare([flat[r * n : (r + 1) * n] for r in range(n)]) for flat in flats
     )

@@ -29,6 +29,7 @@ from latincrit.enumeration import count_all
 from latincrit.solver import (
     FIXED_POINT,
     _search_count,
+    _state,
     count_completions,
     is_uniquely_completable,
     propagate,
@@ -102,7 +103,7 @@ def test_criterion_5_enumeration():
     for n in (1, 2, 3, 4, 5):
         ok = ok and count_completions(PartialLatinSquare.empty(n)).count == expected_total[n]
     for n in (1, 2, 3, 4):
-        ok = ok and _search_count(n, [0] * (n * n), None)[0] == expected_total[n]
+        ok = ok and _search_count(n, _state(n, [0] * (n * n)), None)[0] == expected_total[n]
     _report(5, "L(1..5) = 1, 2, 12, 576, 161280 and R(5) = 56, solver-cross-checked", ok, time.time() - t0, 60)
 
 

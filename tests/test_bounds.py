@@ -149,6 +149,9 @@ def test_bounds_table_single_rows():
     assert row.nelder == 1 == KNOWN_LCS[2]
     (row,) = bounds_table(195, 195)
     assert row.theorem1 > row.nelder
+    (row,) = bounds_table(1, 1)  # ln 1 = 0 leaves the bounds divided by ln n undefined
+    assert row.theorem1 is None and row.exact_counting_lower is None
+    assert (row.nelder, row.bm_upper, row.svr) == (0, 1, None)
 
 
 def test_bounds_table_svr_only_at_powers_of_two():
@@ -168,6 +171,6 @@ def test_bounds_table_coeffs():
 
 def test_bounds_table_rejects_bad_ranges():
     with pytest.raises(ValueError):
-        bounds_table(1, 4)
+        bounds_table(0, 4)
     with pytest.raises(ValueError):
         bounds_table(5, 4)

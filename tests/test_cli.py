@@ -237,6 +237,26 @@ def test_bounds_order_1_reports_undefined(capsys):
     assert lines[2].startswith("2,1,1,1,")
 
 
+BOUNDS_1_3 = """\
+n  nelder  bm_upper  svr   theorem1  exact_counting_lower  log_Ln_lower  log2_shape_term    ln_n
+1       0         1       undefined             undefined        0.0000           0.0000  0.0000
+2       1         1    1    -1.2386               -1.0000        0.0000           0.6931  0.6931
+3       3         3         -1.8893               -1.7381        0.8630           2.7726  1.0986
+"""
+
+BOUNDS_1_3_CSV = """\
+n,nelder,bm_upper,svr,theorem1,exact_counting_lower,log_Ln_lower,log2_shape_term,ln_n
+1,0,1,,undefined,undefined,0.0000,0.0000,0.0000
+2,1,1,1,-1.2386,-1.0000,0.0000,0.6931,0.6931
+3,3,3,,-1.8893,-1.7381,0.8630,2.7726,1.0986
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [((), BOUNDS_1_3), (("--csv",), BOUNDS_1_3_CSV)])
+def test_bounds_1_3_whole_output(capsys, argv, expected):
+    assert run(capsys, "bounds", "1", "3", *argv) == (0, expected, "")
+
+
 def test_bounds_needs_range_or_crossover(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 2
@@ -276,6 +296,14 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_signed_and_underscored_symbols_exit_2(tmp_path, capsys):
+    path = tmp_path / "signed.lsq"
+    path.write_text("2\n+1 .\n. 0_1\n")
+    code, out, err = run(capsys, "complete", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: row 1: bad token '+1'\n"
 
 
 def test_missing_file_exits_2(capsys):

@@ -52,6 +52,21 @@ def test_parse_rejects_out_of_range_symbol():
         parse_partial("2\n-1 .\n. .\n")
 
 
+@pytest.mark.parametrize("text", [
+    "2\n+1 .\n. .\n",
+    "2\n1 .\n. 0_1\n",
+    "2\n\u0661 .\n. .\n",  # ARABIC-INDIC DIGIT ONE
+    "2\n1 .\n. \uff12\n",  # FULLWIDTH DIGIT TWO
+    "2\n\u00b9 .\n. .\n",  # SUPERSCRIPT ONE: a digit to str.isdigit, not to int()
+    "+2\n1 .\n. .\n",
+    "0_2\n1 .\n. .\n",
+    "\u0662\n1 .\n. .\n",  # ARABIC-INDIC DIGIT TWO
+])
+def test_parse_accepts_only_ascii_decimal_numbers(text):
+    with pytest.raises(GridError):
+        parse_partial(text)
+
+
 def test_parse_zero_means_empty():
     assert parse_partial("2\n1 0\n0 0\n") == parse_partial("2\n1 .\n. .\n")
 

@@ -26,7 +26,8 @@ from latincrit.criticality import (
     verify_critical,
 )
 from latincrit.enumeration import iter_reduced
-from latincrit.solver import NotUniqueError, is_uniquely_completable, unique_completion
+from latincrit.cli import main
+from latincrit.solver import NotUniqueError, count_completions, is_uniquely_completable, unique_completion
 
 from oracle import naive_completions, naive_critical_sets
 
@@ -66,6 +67,27 @@ def test_not_uc_report_contains_second_completion():
     assert not rep.critical
     assert rep.completion is None
     assert rep.second_completion is not None
+
+
+def test_report_of_a_set_with_no_completion(tmp_path, capsys):
+    p = PartialLatinSquare([[1, 2, 0], [2, 1, 0], [0, 0, 0]])  # (1,3) and (2,3) need the same symbol
+    rep = verify_critical(p)
+    assert (rep.uniquely_completable, rep.minimal, rep.completion) == (False, False, None)
+    assert (rep.second_completion, rep.removal_checks) == (None, ())
+    path = tmp_path / "none.lsq"
+    path.write_text(serialize(p))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "uniquely completable: no\nminimal: no\ncritical: no (size 4)\n"
+
+
+@pytest.mark.parametrize("p", [
+    PartialLatinSquare.empty(2),
+    PartialLatinSquare.from_triples(5, classic_5x5().triples()[1:]),
+])
+def test_report_of_a_set_with_two_completions_names_the_second(p):
+    rep = verify_critical(p)
+    assert not rep.uniquely_completable and rep.removal_checks == ()
+    assert rep.second_completion == count_completions(p, cap=2).witnesses[1]
 
 
 def test_minimize_full_order_1():

@@ -4,7 +4,7 @@ import pytest
 
 from latincrit.core import PartialLatinSquare, serialize
 from latincrit.enumeration import _count_by_rows, count_all, iter_reduced
-from latincrit.solver import _search_count
+from latincrit.solver import _search_count, _state
 
 from oracle import naive_count
 
@@ -69,7 +69,7 @@ def test_row_count_of_empty_grid_is_total_count():
 def test_count_all_cross_checks_solver():
     # the search, since uncapped counts of these orders use the row program too
     for n in (1, 2, 3, 4):
-        assert _search_count(n, [0] * n * n, None)[0] == count_all(n).total_count
+        assert _search_count(n, _state(n, [0] * n * n), None)[0] == count_all(n).total_count
 
 
 def test_orders_past_the_limits_are_refused():

@@ -34,6 +34,7 @@ from latincrit.solver import (
     CONTRADICTION,
     FIXED_POINT,
     _search_count,
+    _state,
     count_completions,
     is_uniquely_completable,
     propagate,
@@ -186,18 +187,18 @@ def test_search_matches_oracle(p):
     # 9 on, so the search path gets its own oracle check
     n = p.order
     cells = [v for row in p.grid for v in row]
-    count, flats = _search_count(n, cells, None)
+    count, flats = _search_count(n, _state(n, cells), None)
     ref = sorted(naive_completions(p), key=lambda grid: serialize(LatinSquare(grid)))
     assert count == len(ref)
     assert [_square(n, list(flat)).grid for flat in flats] == ref[:2]
-    assert _search_count(n, cells, 2)[0] == min(count, 2)
+    assert _search_count(n, _state(n, cells), 2)[0] == min(count, 2)
 
 
 @settings(max_examples=100, deadline=None)
 @given(dense_subsets())
 def test_solver_count_matches_row_dynamic_program(case):
     n, cells = case
-    assert _search_count(n, cells, None)[0] == _count_by_rows(n, cells)
+    assert _search_count(n, _state(n, cells), None)[0] == _count_by_rows(n, cells)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,7 +208,7 @@ def test_row_program_merges_only_interchangeable_columns(case):
     # the row program merges states that differ by swapping them
     n, cells = case
     count = _count_by_rows(n, cells)
-    assert count == _search_count(n, cells, None)[0]
+    assert count == _search_count(n, _state(n, cells), None)[0]
     if n <= 5:
         assert count == naive_count(_square(n, cells))
 
@@ -217,7 +218,7 @@ def test_row_program_merges_only_interchangeable_columns(case):
 def test_uncapped_count_matches_search(case):
     n, cells = case
     report = count_completions(_square(n, cells))
-    count, flats = _search_count(n, cells, None)
+    count, flats = _search_count(n, _state(n, cells), None)
     assert report.count == count
     assert not report.capped
     assert [tuple(v for row in w.grid for v in row) for w in report.witnesses] == flats

@@ -276,5 +276,6 @@ def test_search_trees_are_frozen(monkeypatch):
         cells = [v for row in random_latin_square(8, seed).grid for v in row]
         for idx in random.Random(seed).sample(range(64), 38):
             cells[idx] = 0
-        (found, _), nodes = _nodes_per_search(monkeypatch, lambda: solver._search_count(8, cells, None))
+        state = solver._state(8, cells)
+        (found, _), nodes = _nodes_per_search(monkeypatch, lambda: solver._search_count(8, state, None))
         assert (found, nodes) == (count, [search_nodes])
