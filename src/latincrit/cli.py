@@ -87,18 +87,15 @@ def _cmd_lcs(args) -> int:
             map(start, range(args.seed, args.seed + args.starts)),
             key=lambda ws: (-ws[0].size, ws[0].triples()),
         )
-        print(f"lcs({n}) >= {witness.size} (heuristic lower bound)")
-        print("witness square:")
-        print(serialize(square), end="")
-        print("witness set:")
-        print(serialize(witness), end="")
-        return 0
-    rec = lcs_exhaustive(n)
-    print(f"lcs({n}) = {rec.value}")
+        head = f"lcs({n}) >= {witness.size} (heuristic lower bound)"
+    else:
+        rec = lcs_exhaustive(n)
+        head, square, witness = f"lcs({n}) = {rec.value}", rec.witness_square, rec.witness_set
+    print(head)
     print("witness square:")
-    print(serialize(rec.witness_square), end="")
+    print(serialize(square), end="")
     print("witness set:")
-    print(serialize(rec.witness_set), end="")
+    print(serialize(witness), end="")
     return 0
 
 
@@ -135,20 +132,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    squares = iter_reduced(args.n) if args.list else None  # refuses a large order before counting
+    squares = iter_reduced(args.n) if args.list else ()  # refuses a large order before counting
     result = count_all(args.n)
-    if squares is not None:
-        first = True
-        for square in squares:
-            if not first:
-                print()
-            print(serialize(square), end="")
-            first = False
-        print(f"R({args.n}) = {result.reduced_count}", file=sys.stderr)
-        print(f"L({args.n}) = {result.total_count}", file=sys.stderr)
-    else:
-        print(f"R({args.n}) = {result.reduced_count}")
-        print(f"L({args.n}) = {result.total_count}")
+    for k, square in enumerate(squares):
+        if k:
+            print()
+        print(serialize(square), end="")
+    out = sys.stderr if args.list else sys.stdout  # stdout holds only the listed grids
+    print(f"R({args.n}) = {result.reduced_count}", file=out)
+    print(f"L({args.n}) = {result.total_count}", file=out)
     return 0
 
 

@@ -60,5 +60,4 @@ def random_latin_square(n: int, seed: int = 0) -> LatinSquare:
     """
     if not 1 <= n <= MAX_ORDER:
         raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")
-    cells = next(_row_major_fills(n, [0] * (n * n), random.Random(seed)))
-    return LatinSquare([cells[i * n : (i + 1) * n] for i in range(n)])
+    return LatinSquare.from_cells(n, next(_row_major_fills(n, [0] * (n * n), random.Random(seed))))

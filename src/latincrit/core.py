@@ -9,6 +9,8 @@ a trailing newline.
 
 Coordinates are 1-indexed in all external formats and in Triple values;
 the internal grid tuples are 0-indexed with 0 marking an empty cell.
+`cells()` and `from_cells()` are the one codec between a grid and its
+flat row-major list, cell (r, c) at index r * n + c.
 All values are immutable after construction and safe to share.
 """
 
@@ -103,6 +105,19 @@ class PartialLatinSquare:
                 raise GridError(f"cell ({row},{col}) assigned twice")
             rows[row - 1][col - 1] = sym
         return cls(rows)
+
+    @classmethod
+    def from_cells(cls, order: int, cells: Sequence[int]) -> "PartialLatinSquare":
+        """The square of the flat row-major list `cells` (0 = empty), the
+        inverse of `cells()`; validated like any other construction."""
+        if len(cells) != order * order:
+            raise GridError(f"expected {order * order} cells for order {order}, got {len(cells)}")
+        return cls([cells[r * order : (r + 1) * order] for r in range(order)])
+
+    def cells(self) -> list[int]:
+        """The grid as a new flat row-major list, 0 for empty cells: the
+        layout of every exact check's solver state."""
+        return [v for row in self.grid for v in row]
 
     @property
     def size(self) -> int:

@@ -83,24 +83,20 @@ class LcsRecord(NamedTuple):
     witness_set: PartialLatinSquare
 
 
-def _square(n: int, flat) -> LatinSquare:
-    return LatinSquare([flat[r * n : (r + 1) * n] for r in range(n)])
-
-
 def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
     """Full criticality check: unique completability plus, per entry,
     whether its removal keeps the set uniquely completable.  Every check
     searches a copy of the set's one solver state, each removal with its
     entry cleared."""
     n = c.order
-    base = _state(n, [v for row in c.grid for v in row])
+    base = _state(n, c.cells())
     count, flats = _count_flat(n, list(map(list.copy, base)), 2)
     if count != 1:
         return CriticalityReport(
             uniquely_completable=False,
             minimal=False,
             completion=None,
-            second_completion=_square(n, flats[1]) if len(flats) > 1 else None,
+            second_completion=LatinSquare.from_cells(n, flats[1]) if len(flats) > 1 else None,
             removal_checks=(),
         )
     completion_cells = flats[0]
@@ -113,11 +109,11 @@ def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
         else:
             # count == 2: removal cannot empty the completion set
             other = next(w for w in flats if w != completion_cells)
-            checks.append(RemovalCheck(t, False, _square(n, other)))
+            checks.append(RemovalCheck(t, False, LatinSquare.from_cells(n, other)))
     return CriticalityReport(
         uniquely_completable=True,
         minimal=not any(ch.still_unique for ch in checks),
-        completion=_square(n, completion_cells),
+        completion=LatinSquare.from_cells(n, completion_cells),
         second_completion=None,
         removal_checks=tuple(checks),
     )
@@ -150,7 +146,7 @@ def minimize_uc(
     if removal_order not in ("row-major", "random"):
         raise ValueError(f"unknown removal order {removal_order!r}")
     n = p.order
-    base = _state(n, [v for row in p.grid for v in row])
+    base = _state(n, p.cells())
     cells = base[0]  # the grid of the current set, kept in step by _set_cell
     count, _ = _count_flat(n, list(map(list.copy, base)), 2)
     if count != 1:
@@ -167,7 +163,7 @@ def minimize_uc(
                 break
         else:
             _set_cell(n, base, idx, 0)
-    return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
+    return PartialLatinSquare.from_cells(n, cells)
 
 
 def _all_squares(n: int) -> list[int]:
@@ -196,7 +192,7 @@ def _minimal_trades(l: LatinSquare, squares: list) -> list[int]:
     differ at cell i, and since symbols fit in 3 bits, x | x >> 1 | x >> 2
     gathers that into bit 0 of the byte.  Minimality is decided on these
     byte masks; only the minimal ones are packed into cell bitmasks."""
-    cells = [v for row in l.grid for v in row]
+    cells = l.cells()
     own = int.from_bytes(bytes(cells), "little")
     low = int.from_bytes(b"\1" * len(cells), "little")  # bit 0 of every byte
     diffs = {(x | x >> 1 | x >> 2) & low for x in map(own.__xor__, squares)}

@@ -195,10 +195,7 @@ def iter_reduced(n: int) -> Iterator[LatinSquare]:
     1..LIST_MAX_ORDER raises here, not at the first square."""
     if not 1 <= n <= LIST_MAX_ORDER:
         raise ValueError(f"listing reduced squares supports orders 1..{LIST_MAX_ORDER}, got {n}")
-    return (
-        LatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
-        for cells in _row_major_fills(n, _reduced_border(n))
-    )
+    return (LatinSquare.from_cells(n, cells) for cells in _row_major_fills(n, _reduced_border(n)))
 
 
 def count_all(n: int) -> EnumerationResult:

@@ -229,40 +229,23 @@ def _state(n: int, cells) -> list:
     return state
 
 
-class _Counter:
-    """Counts completions up to an optional cap, keeping the two
-    completions whose serialized text is smallest among those seen."""
+def _search_count(n: int, state: list, cap) -> tuple[int, list]:
+    """The min-width search from a solver state, which it consumes.
+    Counts completions up to cap, keeping the two whose serialized text
+    is smallest among those seen.  Returns the count (saturated at cap)
+    and up to two witness grids as flat tuples."""
+    full = (1 << n) - 1
+    # Keys order like serialized text, whose separators sort below the
+    # digits: symbols compare as strings, so from n = 10 on "10" < "2".
+    text_rank = None if n <= 9 else {v: k for k, v in enumerate(sorted(range(1, n + 1), key=str))}
+    best = []  # [(key, cells tuple)], at most 2, sorted
+    count = 0
 
-    __slots__ = ("n", "cap", "count", "best", "text_rank")
-
-    def __init__(self, n: int, cap):
-        self.n = n
-        self.cap = cap
-        self.count = 0
-        self.best = []  # [(key, cells tuple)], at most 2, sorted
-        # Keys order like serialized text, whose separators sort below the
-        # digits: symbols compare as strings, so from n = 10 on "10" < "2".
-        self.text_rank = None if n <= 9 else {v: k for k, v in enumerate(sorted(range(1, n + 1), key=str))}
-
-    def record(self, cells: list):
-        self.count += 1
-        witness = tuple(cells)
-        rank = self.text_rank
-        key = witness if rank is None else tuple([rank[v] for v in cells])
-        best = self.best
-        if len(best) < 2:
-            best.append((key, witness))
-            best.sort()
-        elif key < best[1][0]:
-            best[1] = (key, witness)
-            best.sort()
-
-    def search(self, state: list, rows=-1, cols=-1, syms=-1):
-        n = self.n
+    def search(state: list, rows=-1, cols=-1, syms=-1):
+        nonlocal count
         if not _propagate_flat(n, *state, rows, cols, syms):
             return
         cells, rc, rv, _, cv, _, _ = state
-        full = (1 << n) - 1
         best_r = best_c = -1
         best_cand = 0
         best_width = n + 1
@@ -281,7 +264,15 @@ class _Counter:
             if best_width == 2:
                 break
         if best_r < 0:
-            self.record(cells)
+            count += 1
+            witness = tuple(cells)
+            key = witness if text_rank is None else tuple([text_rank[v] for v in cells])
+            if len(best) < 2:
+                best.append((key, witness))
+                best.sort()
+            elif key < best[1][0]:
+                best[1] = (key, witness)
+                best.sort()
             return
         cand = best_cand
         while cand:
@@ -289,18 +280,12 @@ class _Counter:
             cand ^= bit
             branch = _set_cell(n, list(map(list.copy, state)), best_r * n + best_c, bit.bit_length())
             # the parent is at a fixed point: only this placement is new
-            self.search(branch, 1 << best_r, 1 << best_c, bit)
-            if self.cap is not None and self.count >= self.cap:
+            search(branch, 1 << best_r, 1 << best_c, bit)
+            if cap is not None and count >= cap:
                 return
 
-
-def _search_count(n: int, state: list, cap) -> tuple[int, list]:
-    """The min-width search from a solver state, which it consumes.
-    Returns the count (saturated at cap) and up to two witness grids as
-    flat tuples."""
-    counter = _Counter(n, cap)
-    counter.search(state)
-    return counter.count, [w for _, w in counter.best]
+    search(state)
+    return count, [w for _, w in best]
 
 
 def _count_flat(n: int, state: list, cap) -> tuple[int, list]:
@@ -326,11 +311,9 @@ def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:
     On a contradiction the grid is wherever propagation stopped, which
     depends on the order rules fire in; a fixed point does not."""
     n = p.order
-    state = _state(n, [v for row in p.grid for v in row])
+    state = _state(n, p.cells())
     ok = _propagate_flat(n, *state)
-    cells = state[0]
-    result = PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
-    return result, (FIXED_POINT if ok else CONTRADICTION)
+    return PartialLatinSquare.from_cells(n, state[0]), (FIXED_POINT if ok else CONTRADICTION)
 
 
 def count_completions(p: PartialLatinSquare, cap: int | None = None) -> CompletionReport:
@@ -339,10 +322,8 @@ def count_completions(p: PartialLatinSquare, cap: int | None = None) -> Completi
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     n = p.order
-    count, flats = _count_flat(n, _state(n, [v for row in p.grid for v in row]), cap)
-    witnesses = tuple(
-        LatinSquare([flat[r * n : (r + 1) * n] for r in range(n)]) for flat in flats
-    )
+    count, flats = _count_flat(n, _state(n, p.cells()), cap)
+    witnesses = tuple(LatinSquare.from_cells(n, flat) for flat in flats)
     return CompletionReport(count=count, capped=cap is not None and count >= cap, witnesses=witnesses)
 
 

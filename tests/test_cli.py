@@ -129,6 +129,18 @@ def test_lcs_heuristic_reports_lower_bound(capsys):
         assert square.grid[t.row - 1][t.col - 1] == t.sym
 
 
+# Full stdout of `latincrit lcs 4 --heuristic --starts 2`, frozen: the
+# largest of the sets minimize_uc keeps from the squares of seeds 0 and 1.
+LCS_4_HEURISTIC_STDOUT = (
+    "lcs(4) >= 4 (heuristic lower bound)\nwitness square:\n4\n3 1 2 4\n1 4 3 2\n4 2 1 3\n2 3 4 1\n"
+    "witness set:\n4\n3 . 2 .\n. . 3 .\n. . . .\n. . . 1\n"
+)
+
+
+def test_lcs_heuristic_whole_output(capsys):
+    assert run(capsys, "lcs", "4", "--heuristic", "--starts", "2") == (0, LCS_4_HEURISTIC_STDOUT, "")
+
+
 def test_lcs_heuristic_rejects_non_positive_starts(capsys):
     for starts in ("0", "-3"):
         code, out, err = run(capsys, "lcs", "5", "--heuristic", "--starts", starts)
@@ -200,6 +212,20 @@ def test_count_outputs(capsys):
     assert "L(5) = 161280" in out
 
 
+# `latincrit count 4 --list`: the reduced squares on stdout, blank-line
+# separated, and the counts on stderr.
+COUNT_4_LIST_STDOUT = (
+    "4\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n\n"
+    "4\n1 2 3 4\n2 1 4 3\n3 4 2 1\n4 3 1 2\n\n"
+    "4\n1 2 3 4\n2 3 4 1\n3 4 1 2\n4 1 2 3\n\n"
+    "4\n1 2 3 4\n2 4 1 3\n3 1 4 2\n4 3 2 1\n"
+)
+
+
+def test_count_list_whole_output(capsys):
+    assert run(capsys, "count", "4", "--list") == (0, COUNT_4_LIST_STDOUT, "R(4) = 4\nL(4) = 576\n")
+
+
 def test_count_list_streams_parseable_grids(capsys):
     code, out, err = run(capsys, "count", "4", "--list")
     assert code == 0
@@ -227,14 +253,6 @@ def test_bounds_table_text_and_csv(capsys):
     assert header.startswith("n,nelder,bm_upper,svr")
     fields = row.split(",")
     assert fields[0] == "4" and fields[1] == "6" and fields[2] == "7" and fields[3] == "7"
-
-
-def test_bounds_order_1_reports_undefined(capsys):
-    code, out, _ = run(capsys, "bounds", "1", "2", "--csv")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[1].startswith("1,0,1,,undefined,undefined")
-    assert lines[2].startswith("2,1,1,1,")
 
 
 BOUNDS_1_3 = """\

@@ -465,7 +465,7 @@ def _per_cell_trades(l: LatinSquare, squares: list) -> list:
     """The minimal trades of l by the per-cell difference formula that the
     bit-parallel one replaced, sorted by (size, mask)."""
     n2 = l.order ** 2
-    cells = [v for row in l.grid for v in row]
+    cells = l.cells()
     diffs = {
         sum(1 << i for i, (a, b) in enumerate(zip(cells, s.to_bytes(n2, "little"))) if a != b)
         for s in squares
@@ -485,7 +485,7 @@ def test_bit_parallel_trades_match_the_per_cell_formula(n, count):
     # symbols (1 and 5) differ in bit 2 alone
     for s in squares if n < 5 else squares[:1]:
         flat = s.to_bytes(n * n, "little")
-        square = LatinSquare([flat[r * n : (r + 1) * n] for r in range(n)])
+        square = LatinSquare.from_cells(n, flat)
         assert _minimal_trades(square, squares) == _per_cell_trades(square, squares)
 
 

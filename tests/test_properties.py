@@ -10,11 +10,13 @@ against counts from scratch at orders up to 7; the search against the row dynami
 program of `enumeration`, and uncapped counts against the search, at
 orders up to 7; the row program's merging of interchangeable columns
 against the search and the oracle at orders up to 6; conjugation again
-at orders 5 to 8; and grid text parsing on arbitrary input."""
+at orders 5 to 8; the flat-cell codec of `core`; and grid text parsing
+on arbitrary input."""
 
 import random
 from itertools import permutations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -93,7 +95,7 @@ def dense_subsets(draw, orders=(5, 6, 7)):
     """A random square of one of `orders` with a drawn number of cells emptied."""
     n = draw(st.sampled_from(orders))
     square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
-    cells = [v for row in square.grid for v in row]
+    cells = square.cells()
     holes = draw(st.integers(0, MAX_HOLES[n]))
     for idx in draw(st.permutations(range(n * n)))[:holes]:
         cells[idx] = 0
@@ -125,7 +127,7 @@ def half_empty_subsets(draw):
     emptied, which forced moves seldom complete."""
     n = draw(st.integers(5, 8))
     square = random_latin_square(n, seed=draw(st.integers(0, 10**6)))
-    cells = [v for row in square.grid for v in row]
+    cells = square.cells()
     holes = draw(st.integers(n * n // 2, n * n))
     for idx in draw(st.permutations(range(n * n)))[:holes]:
         cells[idx] = 0
@@ -133,15 +135,14 @@ def half_empty_subsets(draw):
 
 
 def flat_partial_squares(max_order=MAX_ORDER):
-    return partial_squares(max_order).map(lambda p: (p.order, [v for row in p.grid for v in row]))
+    return partial_squares(max_order).map(lambda p: (p.order, p.cells()))
 
 
-def _square(n, cells):
-    return PartialLatinSquare([cells[r * n : (r + 1) * n] for r in range(n)])
+_square = PartialLatinSquare.from_cells
 
 
 def _conjugate(p, axes):
-    return _square(p.order, conjugate(p.order, [v for row in p.grid for v in row], axes))
+    return _square(p.order, conjugate(p.order, p.cells(), axes))
 
 
 @st.composite
@@ -186,11 +187,11 @@ def test_search_matches_oracle(p):
     # count_completions reaches the search only when capped or from order
     # 9 on, so the search path gets its own oracle check
     n = p.order
-    cells = [v for row in p.grid for v in row]
+    cells = p.cells()
     count, flats = _search_count(n, _state(n, cells), None)
     ref = sorted(naive_completions(p), key=lambda grid: serialize(LatinSquare(grid)))
     assert count == len(ref)
-    assert [_square(n, list(flat)).grid for flat in flats] == ref[:2]
+    assert [_square(n, flat).grid for flat in flats] == ref[:2]
     assert _search_count(n, _state(n, cells), 2)[0] == min(count, 2)
 
 
@@ -221,7 +222,7 @@ def test_uncapped_count_matches_search(case):
     count, flats = _search_count(n, _state(n, cells), None)
     assert report.count == count
     assert not report.capped
-    assert [tuple(v for row in w.grid for v in row) for w in report.witnesses] == flats
+    assert [tuple(w.cells()) for w in report.witnesses] == flats
 
 
 @settings(max_examples=100, deadline=None)
@@ -231,6 +232,25 @@ def test_transpose_preserves_completion_count(case, axes):
     n, cells = case
     image = conjugate(n, cells, axes)
     assert count_completions(_square(n, image)).count == count_completions(_square(n, cells)).count
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_squares())
+def test_cells_codec_round_trips_and_validates(p):
+    n = p.order
+    cells = p.cells()
+    assert PartialLatinSquare.from_cells(n, cells) == p
+    assert all(cells[r * n + c] == p.grid[r][c] for r in range(n) for c in range(n))
+    for grid in naive_completions(p, limit=1):
+        square = LatinSquare.from_cells(n, LatinSquare(grid).cells())
+        assert type(square) is LatinSquare and square.grid == grid
+    # row 1 a copy of row 0 repeats each of row 0's symbols in its column
+    first = cells[:n]
+    if n >= 2 and any(first):
+        with pytest.raises(GridError, match="repeated in column"):
+            PartialLatinSquare.from_cells(n, first + first + [0] * (n * n - 2 * n))
+    with pytest.raises(GridError):
+        PartialLatinSquare.from_cells(n, cells + [0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,7 +307,7 @@ def test_propagation_commutes_with_conjugation_at_orders_6_and_7():
         rng = random.Random(n)
         for _ in range(100):
             square = random_latin_square(n, seed=rng.randrange(10**6))
-            cells = [v for row in square.grid for v in row]
+            cells = square.cells()
             for idx in rng.sample(range(n * n), rng.randint(n * n // 2, 3 * n * n // 4)):
                 cells[idx] = 0
             p = _square(n, cells)
@@ -317,7 +337,7 @@ def test_propagation_matches_naive_sweeps(case, data):
         return
     # the branches of a search node: each candidate of one cell placed on
     # the fixed point, with only its row, column and symbol marked dirty
-    fixed = [v for row in grid for v in row]
+    fixed = out.cells()
     idx = data.draw(st.sampled_from([i for i, v in enumerate(fixed) if not v]))
     r, c = divmod(idx, n)
     taken = fixed[r * n : (r + 1) * n] + fixed[c::n]

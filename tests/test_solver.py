@@ -100,7 +100,7 @@ def test_propagate_stale_count_of_one_fails():
     assert naive_propagate(p)[1] == CONTRADICTION
     assert propagate(p)[1] == CONTRADICTION
     # the tables still describe the grid: no cell was written twice
-    state = solver._state(4, [v for row in STALE_COUNT_OF_ONE for v in row])
+    state = solver._state(4, p.cells())
     assert not solver._propagate_flat(4, *state)
     assert state == solver._state(4, state[0])
 
@@ -111,7 +111,7 @@ def test_propagate_stale_count_of_two_reaches_closure():
     assert (out.grid, status) == naive_propagate(p)
     assert status == FIXED_POINT and out.grid[0] == (1, 2, 4, 3)
     # with only row 1 dirty, no other value's check can place (1,2) = 2
-    state = solver._state(4, [v for row in STALE_COUNT_OF_TWO for v in row])
+    state = solver._state(4, p.cells())
     assert solver._propagate_flat(4, *state, 1, 0, 0)
     assert state[0][:4] == [1, 2, 4, 3]
 
@@ -273,7 +273,7 @@ def test_search_trees_are_frozen(monkeypatch):
     _, nodes = _nodes_per_search(monkeypatch, lambda: minimize_uc(random_latin_square(8, 0)))
     assert nodes == MINIMIZE_8_NODES
     for seed, (count, search_nodes) in enumerate(UNCAPPED_8_COUNT_NODES):
-        cells = [v for row in random_latin_square(8, seed).grid for v in row]
+        cells = random_latin_square(8, seed).cells()
         for idx in random.Random(seed).sample(range(64), 38):
             cells[idx] = 0
         state = solver._state(8, cells)
