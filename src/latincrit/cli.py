@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--heuristic", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=32, help="heuristic portfolio size")
-    p.add_argument("--allow-large", action="store_true", help="no effect; kept for old command lines")
     p.set_defaults(func=_cmd_lcs)
 
     p = sub.add_parser("construct", help="emit a named construction")

@@ -237,10 +237,11 @@ def relabel(
     for name, perm in (("row", row_perm), ("column", col_perm), ("symbol", sym_perm)):
         if sorted(perm) != list(range(n)):
             raise GridError(f"{name} map {list(perm)} is not a permutation of 0..{n - 1}")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = p.grid[i][j]
-            if v:
-                rows[row_perm[i]][col_perm[j]] = sym_perm[v - 1] + 1
-    return p.__class__(rows)
+    return p.__class__.from_triples(n, _relabel_triples(p.triples(), row_perm, col_perm, sym_perm))
+
+
+def _relabel_triples(triples: Iterable[tuple], row_perm, col_perm, sym_perm) -> tuple[tuple, ...]:
+    """The triples moved as `relabel` moves cells, in row-major order, as
+    plain tuples (half the cost of Triples); the maps are not checked."""
+    return tuple(sorted([(row_perm[r - 1] + 1, col_perm[c - 1] + 1, sym_perm[s - 1] + 1)
+                         for r, c, s in triples]))

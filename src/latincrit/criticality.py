@@ -32,9 +32,9 @@ import random
 from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import LatinSquare, PartialLatinSquare, Triple
+from .core import LatinSquare, PartialLatinSquare, Triple, _relabel_triples
 from .enumeration import iter_reduced
-from .solver import NotUniqueError, _count_flat, _set_cell, _state
+from .solver import NotUniqueError, _count_flat, _free_symbols, _set_cell, _state
 
 # Known largest-critical-set values for small orders.  Orders 1..5 are
 # recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower
@@ -102,7 +102,7 @@ def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
     completion_cells = flats[0]
     checks = []
     for t in c.triples():
-        state = _set_cell(n, list(map(list.copy, base)), (t.row - 1) * n + t.col - 1, 0)
+        state = _set_cell(n, list(map(list.copy, base)), t.row - 1, t.col - 1, 0)
         count, flats = _count_flat(n, state, 2)
         if count == 1:
             checks.append(RemovalCheck(t, True, None))
@@ -146,24 +146,23 @@ def minimize_uc(
     if removal_order not in ("row-major", "random"):
         raise ValueError(f"unknown removal order {removal_order!r}")
     n = p.order
-    base = _state(n, p.cells())
-    cells = base[0]  # the grid of the current set, kept in step by _set_cell
+    base = _state(n, p.cells())  # the current set, kept in step by _set_cell
     count, _ = _count_flat(n, list(map(list.copy, base)), 2)
     if count != 1:
         raise NotUniqueError(count)
-    filled = [idx for idx in range(n * n) if cells[idx]]
+    triples = list(p.triples())
     if removal_order == "random":
-        random.Random(seed).shuffle(filled)
-    for idx in filled:
-        r, c = divmod(idx, n)
-        # symbols already in this cell's row or column, kept included
-        taken = set(cells[r * n : r * n + n] + cells[c::n])
-        for v in range(1, n + 1):
-            if v not in taken and _count_flat(n, _set_cell(n, list(map(list.copy, base)), idx, v), 1)[0]:
+        random.Random(seed).shuffle(triples)
+    kept = []
+    for t in triples:
+        r, c = t.row - 1, t.col - 1
+        for v in _free_symbols(n, base, r, c):
+            if _count_flat(n, _set_cell(n, list(map(list.copy, base)), r, c, v), 1)[0]:
+                kept.append(t)
                 break
         else:
-            _set_cell(n, base, idx, 0)
-    return PartialLatinSquare.from_cells(n, cells)
+            _set_cell(n, base, r, c, 0)
+    return PartialLatinSquare.from_triples(n, kept)
 
 
 def _all_squares(n: int) -> list[int]:
@@ -328,14 +327,6 @@ def _largest_critical_sets(l: LatinSquare, squares: list, floor: int = 0) -> lis
     return sets
 
 
-def _carry(c: tuple[Triple, ...], iso) -> tuple[Triple, ...]:
-    """The image of a set of row-major triples under an isotopism, as
-    relabel moves them, in row-major order."""
-    rows, cols, syms = iso
-    moved = [Triple(rows[t.row - 1] + 1, cols[t.col - 1] + 1, syms[t.sym - 1] + 1) for t in c]
-    return tuple(sorted(moved))
-
-
 def lcs_exhaustive(n: int) -> LcsRecord:
     """Largest critical set size over all squares of order n, exactly.
     The witness is the smallest triple tuple among the largest critical
@@ -360,11 +351,11 @@ def lcs_exhaustive(n: int) -> LcsRecord:
         sets = _largest_critical_sets(rep, squares, value)
         if sets:
             value = len(sets[0])
-            largest.append((sets, rep, members))
+            largest.append((sets, members))
     witness, square = min(
         (
-            (c if member is rep else _carry(c, iso), member)
-            for sets, rep, members in largest if len(sets[0]) == value
+            (_relabel_triples(c, *iso), member)
+            for sets, members in largest if len(sets[0]) == value
             for member, iso in members for c in sets
         ),
         key=lambda cs: cs[0],

@@ -10,7 +10,8 @@ r (row), c (column) and v (symbol): `rv[r]` holds the symbols of row r,
 row r.  Symbols are 0-based in the tables (symbol v at bit v - 1).
 Only this module reads the tables.  `_set_cell` writes a cell and its
 tables; propagation inlines it.  Other modules build a state with
-`_state`, edit it with `_set_cell` and count from it with `_count_flat`.
+`_state`, edit it with `_set_cell` by (row, column), ask it for a cell's
+free symbols with `_free_symbols` and count from it with `_count_flat`.
 
 Each node first closes under forced moves, which are one rule read on
 the three conjugates of the square: two values of two axes that are in
@@ -198,12 +199,12 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
     return True
 
 
-def _set_cell(n: int, state: list, idx: int, v: int) -> list:
-    """Write symbol v (0 = empty) into cell idx of a solver state in
-    place and return it.  XOR takes the old symbol out and puts v in; a
+def _set_cell(n: int, state: list, r: int, c: int, v: int) -> list:
+    """Write symbol v (0 = empty) into 0-based cell (r, c) of a solver state
+    in place and return it.  XOR takes the old symbol out and puts v in; a
     cell filled before and after toggles rc and cr twice, so stays filled."""
     cells, rc, rv, cr, cv, vr, vc = state
-    r, c = divmod(idx, n)
+    idx = r * n + c
     rbit, cbit = 1 << r, 1 << c
     for s in (cells[idx], v):
         if s:
@@ -225,8 +226,15 @@ def _state(n: int, cells) -> list:
     state = [[0] * (n * n)] + [[0] * n for _ in range(6)]
     for idx, v in enumerate(cells):
         if v:
-            _set_cell(n, state, idx, v)
+            _set_cell(n, state, *divmod(idx, n), v)
     return state
+
+
+def _free_symbols(n: int, state: list, r: int, c: int) -> list[int]:
+    """The symbols, ascending, in no triple with 0-based row r or column c
+    of a solver state; a filled cell's own symbol is not free."""
+    free = ((1 << n) - 1) ^ (state[2][r] | state[4][c])  # rv[r] | cv[c]
+    return [v + 1 for v in range(n) if free >> v & 1]
 
 
 def _search_count(n: int, state: list, cap) -> tuple[int, list]:
@@ -278,7 +286,7 @@ def _search_count(n: int, state: list, cap) -> tuple[int, list]:
         while cand:
             bit = cand & -cand
             cand ^= bit
-            branch = _set_cell(n, list(map(list.copy, state)), best_r * n + best_c, bit.bit_length())
+            branch = _set_cell(n, list(map(list.copy, state)), best_r, best_c, bit.bit_length())
             # the parent is at a fixed point: only this placement is new
             search(branch, 1 << best_r, 1 << best_c, bit)
             if cap is not None and count >= cap:

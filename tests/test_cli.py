@@ -166,6 +166,13 @@ def test_orders_past_each_limit_are_usage_errors(capsys, monkeypatch):
         assert err.startswith("error:")
 
 
+def test_lcs_allow_large_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lcs", "4", "--allow-large"])
+    assert exc.value.code == 2
+    assert "--allow-large" in capsys.readouterr().err
+
+
 def test_count_6_allow_large_has_no_effect(capsys):
     expected = (0, "R(6) = 9408\nL(6) = 812851200\n", "")
     assert run(capsys, "count", "6") == expected
@@ -224,17 +231,6 @@ COUNT_4_LIST_STDOUT = (
 
 def test_count_list_whole_output(capsys):
     assert run(capsys, "count", "4", "--list") == (0, COUNT_4_LIST_STDOUT, "R(4) = 4\nL(4) = 576\n")
-
-
-def test_count_list_streams_parseable_grids(capsys):
-    code, out, err = run(capsys, "count", "4", "--list")
-    assert code == 0
-    blocks = [b for b in out.split("\n\n") if b.strip()]
-    assert len(blocks) == 4
-    for block in blocks:
-        sq = parse_partial(block)
-        assert sq.is_complete()
-    assert "R(4) = 4" in err
 
 
 def test_bounds_crossover(capsys):

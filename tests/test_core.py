@@ -8,6 +8,7 @@ from latincrit.core import (
     LatinSquare,
     PartialLatinSquare,
     Triple,
+    _relabel_triples,
     parse_partial,
     relabel,
     serialize,
@@ -146,6 +147,21 @@ def test_relabel_preserves_latin_property():
         out = relabel(sq, *perms)
         assert isinstance(out, LatinSquare)
         assert out.size == n * n
+
+
+def test_relabel_triples_moves_each_cell_by_the_maps():
+    # cell (i, j) holding s moves to (row_perm[i], col_perm[j]) holding
+    # sym_perm[s-1]+1; the moved triples come back in row-major order
+    rng = random.Random(5)
+    for n in range(1, 7):
+        square = random_latin_square(n, seed=n)
+        for _ in range(5):
+            triples = [t for t in square.triples() if rng.random() < 0.5]
+            rng.shuffle(triples)
+            row_perm, col_perm, sym_perm = [rng.sample(range(n), n) for _ in range(3)]
+            moved = {(row_perm[t.row - 1], col_perm[t.col - 1]): sym_perm[t.sym - 1] + 1 for t in triples}
+            expected = tuple(Triple(i + 1, j + 1, moved[i, j]) for i in range(n) for j in range(n) if (i, j) in moved)
+            assert _relabel_triples(triples, row_perm, col_perm, sym_perm) == expected
 
 
 @pytest.mark.parametrize(
