@@ -10,21 +10,25 @@ squares whose columns hold the same symbols up to a swap of columns free
 in exactly the same rows still to fill.  Swapping two such columns' cells
 in every later row matches the completions of the two states one to one.
 A later given counts only through its column's symbols, which hold it,
-and its row's, which the swap leaves alone.  `solver` counts
-uncapped completions of small orders with the same program.  Counts are
-exact Python integers (L(6) = 812,851,200 exceeds 32 bits).
+and its row's, which the swap leaves alone.  The last row is forced: after
+n - 1 rows each free column misses one symbol, the one the row needs
+there.  And relabelled, the bottom rows of a reduced square are a reduced
+rectangle up to a permutation of columns, so `count_all` joins the counts
+of two middle layers.  `solver` counts uncapped completions of small
+orders with the same program.  Counts are exact Python integers (L(6) =
+812,851,200 exceeds 32 bits).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from itertools import permutations
+from collections import Counter, defaultdict
+from itertools import islice, permutations
 from typing import Iterator, NamedTuple
 
 from .core import LatinSquare
 
-# R(7) = 16,942,080 is counted in 0.3-0.5 s (2-vCPU Xeon, Python 3.11).
+# R(7) = 16,942,080 is counted in 0.28-0.47 s (best of 7; 2-vCPU Xeon, Python 3.11).
 # R(8) is out of reach: after its first four rows the state sets hold 1;
 # 1,642; 96,367; 367,458 states, at 82 s and 1.5 GB resident.
 COUNT_MAX_ORDER = 7
@@ -104,25 +108,23 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
 _TAIL_CELLS = 3
 
 
-def _count_by_rows(n: int, cells: list) -> int:
-    """Number of completions of the flat row-major grid `cells` (0 = empty),
-    which must repeat no symbol in a row or column.  `count_all` counts the
-    reduced border with it, and `solver` counts uncapped completions of
-    small orders.
+def _row_layers(n: int, cells: list) -> Iterator[dict]:
+    """The row program's walk over the flat row-major grid `cells` (0 =
+    empty), which must repeat no symbol in a row or column: yields the
+    column states after 0, 1, ..., n - 1 of its rows, each a dict from
+    state to the number of ways to reach it.  The last layer is unmerged.
 
-    Fills one row at a time.  Once some rows are filled, the rest of the
-    square depends only on the symbols in each column, so `states` maps
-    each column state to the number of ways to reach it, and fillings
-    that reach the same state merge.  Columns free in exactly the same
-    rows still to fill form a group.  Swapping two of them in every later
-    row maps the completions of a state onto those of the state with their
-    masks swapped.  So each group's masks are sorted, and such states merge.
-    A state is one int, a byte per column (so n <= ROW_COUNT_MAX_ORDER),
-    in an order that makes each group one run of bytes.  The masks start
-    with every given symbol of their column, so a free cell never takes a
-    symbol given elsewhere in its column.  Rows go fewest free cells first,
-    which keeps the early state sets small; the count does not depend on
-    the order."""
+    Once some rows are filled, the rest of the square depends only on the
+    symbols in each column, so fillings that reach the same state merge.
+    Columns free in exactly the same rows still to fill form a group.
+    Swapping two of them in every later row maps the completions of a
+    state onto those of the state with their masks swapped.  So each
+    group's masks are sorted, and such states merge.  A state is one int,
+    a byte per column (so n <= ROW_COUNT_MAX_ORDER), in an order that
+    makes each group one run of bytes.  The masks start with every given
+    symbol of their column, so a free cell never takes a symbol given
+    elsewhere in its column.  Rows go fewest free cells first, which keeps
+    the early state sets small; the count does not depend on the order."""
     if n > ROW_COUNT_MAX_ORDER:
         raise ValueError(f"the row program packs a column into one byte: orders 1..{ROW_COUNT_MAX_ORDER}, "
                          f"got {n}")
@@ -141,7 +143,8 @@ def _count_by_rows(n: int, cells: list) -> int:
             start |= 1 << (8 * c + v - 1)
     free = [[8 * c for c in range(n) if not cells[r * n + c]] for r in range(n)]  # bit offsets
     states = {start: 1}
-    for done, r in enumerate(rows, 1):
+    yield states
+    for done, r in enumerate(rows[:-1], 1):
         head, tail = free[r][:-_TAIL_CELLS], free[r][-_TAIL_CELLS:]
         placements = {}  # row mask after `head` -> the remaining symbols laid out over `tail`
         reached = defaultdict(int)
@@ -170,7 +173,7 @@ def _count_by_rows(n: int, cells: list) -> int:
         ahead = [where[c] >> done for c in columns]  # where each column is free in the rows left
         ends = [p for p in range(1, n) if ahead[p] != ahead[p - 1]] + [n]
         groups = [(a, b) for a, b in zip([0] + ends, ends) if b - a > 1 and ahead[a]]
-        if groups:
+        if groups and done < n - 1:
             merged = defaultdict(int)
             for state, ways in states.items():
                 masks = state.to_bytes(n, "little")
@@ -178,6 +181,20 @@ def _count_by_rows(n: int, cells: list) -> int:
                     masks = masks[:a] + bytes(sorted(masks[a:b])) + masks[b:]
                 merged[int.from_bytes(masks, "little")] += ways
             states = merged
+        yield states
+
+
+def _count_by_rows(n: int, cells: list) -> int:
+    """Number of completions of the flat row-major grid `cells` (0 =
+    empty), which must repeat no symbol in a row or column: the ways summed
+    over the states after n - 1 rows, each of which has one completion.
+    Each filled row holds every symbol once, and each mask holds its
+    column's givens, so a symbol given in the last row is in all n masks
+    and any other in n - 1.  So a column given in that row is full, and
+    each free one misses exactly one symbol: together, once each, the
+    symbols the row lacks."""
+    for states in _row_layers(n, cells):
+        pass
     return sum(states.values())
 
 
@@ -199,10 +216,28 @@ def iter_reduced(n: int) -> Iterator[LatinSquare]:
 
 
 def count_all(n: int) -> EnumerationResult:
-    """Exact R(n), counted by the row dynamic program over the reduced
-    border, and L(n) = n! * (n-1)! * R(n)."""
+    """Exact R(n), and L(n) = n! * (n-1)! * R(n).  From order 4 on, the
+    row program walks the reduced border only to layers k = ceil(n/2) and
+    n - k and joins them: R(n) = sum over the states O of layer k of
+    W_k(O) * |Stab(P)| * W_{n-k}(P), where W_j is layer j's count and P is
+    the sorted masks of columns 2..n of O, complemented and rotated down by
+    k.  Rows k+1..n hold k+1..n in column 1, so under that relabelling the
+    bottom of a square is an (n-k)-row rectangle with column 1 in order and
+    column sets P; permuting columns 2..n puts its first row in order.  The
+    |Stab(P)| permutations of equal masks in P give distinct bottoms."""
     if not 1 <= n <= COUNT_MAX_ORDER:
         raise ValueError(f"counting supports orders 1..{COUNT_MAX_ORDER}, got {n}")
-    reduced = _count_by_rows(n, _reduced_border(n))
+    if n < 4:  # layer ceil(n/2) would be the last, which is unmerged
+        reduced = _count_by_rows(n, _reduced_border(n))
+    else:
+        k = (n + 1) // 2
+        layers = list(islice(_row_layers(n, _reduced_border(n)), k + 1))
+        full = (1 << n) - 1
+        flip = [((m ^ full) >> k | (m ^ full) << (n - k)) & full for m in range(full + 1)]
+        reduced = 0
+        for state, ways in layers[k].items():
+            rest = sorted(map(flip.__getitem__, state.to_bytes(n, "little")[1:]))
+            stab = math.prod(map(math.factorial, Counter(rest).values())) if len(set(rest)) < n - 1 else 1
+            reduced += ways * stab * layers[n - k].get(int.from_bytes(bytes([full, *rest]), "little"), 0)
     total = math.factorial(n) * math.factorial(n - 1) * reduced
     return EnumerationResult(order=n, reduced_count=reduced, total_count=total)

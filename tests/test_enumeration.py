@@ -3,7 +3,7 @@ import math
 import pytest
 
 from latincrit.core import PartialLatinSquare, serialize
-from latincrit.enumeration import _count_by_rows, count_all, iter_reduced
+from latincrit.enumeration import _count_by_rows, _reduced_border, count_all, iter_reduced
 from latincrit.solver import _search_count, _state
 
 from oracle import naive_count
@@ -64,6 +64,41 @@ def test_row_count_of_empty_grid_is_total_count():
     # every square, not just reduced ones: no use of L(n) = n!(n-1)!R(n)
     for n, expected in TOTAL_COUNTS.items():
         assert _count_by_rows(n, [0] * n * n) == expected
+
+
+def test_count_all_join_matches_full_walk():
+    # from order 4 on count_all joins two middle layers; the full walk
+    # goes through every row but the last
+    for n in range(1, 7):
+        assert count_all(n).reduced_count == _count_by_rows(n, _reduced_border(n))
+
+
+def test_row_count_never_fills_the_last_row():
+    # the layer after n - 1 rows is summed as is: each of its states has
+    # one completion, with or without givens in the forced row
+    grids = [
+        [[0]],
+        [[1]],
+        # the most-free row (the last filled) keeps its given 2
+        [[1, 0, 3, 4, 5],
+         [0, 3, 0, 5, 1],
+         [3, 0, 5, 0, 2],
+         [0, 5, 0, 2, 0],
+         [0, 0, 2, 0, 0]],
+        # no completion: the 5s of rows 1-4 would share columns 2-4, since
+        # column 5 is full and column 1 holds its 5 in row 5
+        [[0, 0, 0, 0, 1],
+         [0, 0, 0, 0, 2],
+         [0, 0, 0, 0, 3],
+         [0, 0, 0, 0, 4],
+         [5, 0, 0, 0, 0]],
+    ]
+    counts = []
+    for rows in grids:
+        p = PartialLatinSquare(rows)
+        counts.append(_count_by_rows(p.order, p.cells()))
+        assert counts[-1] == naive_count(p)
+    assert counts[0] == counts[1] == 1 and counts[2] > 0 and counts[3] == 0
 
 
 def test_count_all_cross_checks_solver():
