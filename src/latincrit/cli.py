@@ -157,11 +157,7 @@ def _cmd_bounds(args) -> int:
         print(bounds_mod.crossover())
         return 0
     if args.n_from is None or args.n_to is None:
-        print("error: bounds needs N_FROM and N_TO (or --crossover)", file=sys.stderr)
-        return 2
-    if not 1 <= args.n_from <= args.n_to:
-        print(f"error: need 1 <= N_FROM <= N_TO, got {args.n_from}..{args.n_to}", file=sys.stderr)
-        return 2
+        raise ValueError("bounds needs N_FROM and N_TO (or --crossover)")
     header = [
         "n", "nelder", "bm_upper", "svr", "theorem1",
         "exact_counting_lower", "log_Ln_lower", "log2_shape_term", "ln_n",
@@ -195,8 +191,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_check_chain(args) -> int:
     n = args.n
     if n not in KNOWN_LCS:
-        print(f"error: no known lcs value for order {n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no known lcs value for order {n}")
     chk = bounds_mod.check_chain(n, KNOWN_LCS[n])
     verdict = "holds" if chk.holds else "FAILS"
     print(

@@ -5,7 +5,9 @@ line 1 is the order n, lines 2..n+1 hold n whitespace-separated tokens,
 each "." (empty) or an integer 1..n.  Numbers are ASCII decimal digits
 only, with no sign, underscore or other script.  "0" is accepted as a
 synonym for "." on input; canonical output uses ".", single spaces, and
-a trailing newline.
+a trailing newline.  `parse_partial` checks only what the text alone
+shows (header, row count, tokens); the `PartialLatinSquare` constructor
+checks all the rest.
 
 Coordinates are 1-indexed in all external formats and in Triple values;
 the internal grid tuples are 0-indexed with 0 marking an empty cell.
@@ -50,8 +52,9 @@ class Triple(NamedTuple):
 
 class PartialLatinSquare:
     """An n x n grid over 1..n where each symbol occurs at most once per
-    row and at most once per column.  Violations are rejected at
-    construction time, so an instance is always Latin-property-respecting.
+    row and at most once per column.  The constructor, the one grid
+    validator, rejects violations in one row-major pass that reports the
+    first defect, so an instance is always Latin-property-respecting.
 
     `grid` is a tuple of row tuples with 0 for empty cells.
     """
@@ -64,30 +67,22 @@ class PartialLatinSquare:
         n = len(grid)
         if not 1 <= n <= MAX_ORDER:
             raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")
-        for i, row in enumerate(grid):
+        cols = [0] * n  # symbols seen so far in each column, one bit each
+        for i, row in enumerate(grid, start=1):
             if len(row) != n:
-                raise GridError(f"row {i + 1}: expected {n} entries, got {len(row)}")
-        for i, row in enumerate(grid):
+                raise GridError(f"row {i}: expected {n} entries, got {len(row)}")
             seen = 0
-            for v in row:
-                if v == 0:
-                    continue
-                if not 1 <= v <= n:
-                    raise GridError(f"row {i + 1}: symbol {v} out of range 1..{n}")
-                bit = 1 << (v - 1)
-                if seen & bit:
-                    raise GridError(f"symbol {v} repeated in row {i + 1}")
-                seen |= bit
-        for j in range(n):
-            seen = 0
-            for i in range(n):
-                v = grid[i][j]
-                if v == 0:
-                    continue
-                bit = 1 << (v - 1)
-                if seen & bit:
-                    raise GridError(f"symbol {v} repeated in column {j + 1}")
-                seen |= bit
+            for j, v in enumerate(row):
+                if v:
+                    if not 1 <= v <= n:
+                        raise GridError(f"row {i}: symbol {v} out of range 1..{n}")
+                    bit = 1 << (v - 1)
+                    if seen & bit:
+                        raise GridError(f"symbol {v} repeated in row {i}")
+                    if cols[j] & bit:
+                        raise GridError(f"symbol {v} repeated in column {j + 1}")
+                    seen |= bit
+                    cols[j] |= bit
         self.order = n
         self.grid = grid
 
@@ -174,9 +169,9 @@ def _is_decimal(tok: str) -> bool:
 
 
 def parse_partial(text: str) -> PartialLatinSquare:
-    """Parse grid text.  Rejects dimension mismatches, tokens other than
-    "." and ASCII decimal numbers, out-of-range symbols, and row/column
-    duplicates."""
+    """Parse grid text.  Checks only what the constructor cannot see: an
+    empty input, the header (one order in 1..MAX_ORDER), the row count and
+    the tokens ("." or "0" for empty, else a nonzero ASCII decimal)."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -192,23 +187,17 @@ def parse_partial(text: str) -> PartialLatinSquare:
         raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")
     if len(lines) - 1 != n:
         raise GridError(f"expected {n} grid rows, got {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        tokens = line.split()
-        if len(tokens) != n:
-            raise GridError(f"row {i}: expected {n} entries, got {len(tokens)}")
-        row = []
-        for tok in tokens:
+    rows = [line.split() for line in lines[1:]]
+    for i, row in enumerate(rows, start=1):
+        for j, tok in enumerate(row):
             if tok in (".", "0"):
-                row.append(0)
+                row[j] = 0
             elif not _is_decimal(tok):
                 raise GridError(f"row {i}: bad token {tok!r}")
+            elif not tok.strip("0"):  # "00" is the symbol 0, not an empty cell
+                raise GridError(f"row {i}: symbol 0 out of range 1..{n}")
             else:
-                v = int(tok)
-                if not 1 <= v <= n:
-                    raise GridError(f"row {i}: symbol {v} out of range 1..{n}")
-                row.append(v)
-        rows.append(row)
+                row[j] = int(tok)
     return PartialLatinSquare(rows)
 
 

@@ -216,18 +216,18 @@ def iter_reduced(n: int) -> Iterator[LatinSquare]:
 
 
 def count_all(n: int) -> EnumerationResult:
-    """Exact R(n), and L(n) = n! * (n-1)! * R(n).  From order 4 on, the
-    row program walks the reduced border only to layers k = ceil(n/2) and
-    n - k and joins them: R(n) = sum over the states O of layer k of
-    W_k(O) * |Stab(P)| * W_{n-k}(P), where W_j is layer j's count and P is
-    the sorted masks of columns 2..n of O, complemented and rotated down by
-    k.  Rows k+1..n hold k+1..n in column 1, so under that relabelling the
+    """Exact R(n), and L(n) = n! * (n-1)! * R(n).  From order 4 on (below,
+    the full walk is faster), the row program walks the reduced border only
+    to layers k = ceil(n/2) and n - k and joins them: R(n) = sum over O in
+    layer k of W_k(O) * |Stab(P)| * W_{n-k}(P), where W_j is layer j's count
+    and P is the sorted masks of columns 2..n of O, complemented and rotated
+    down by k.  Rows k+1..n hold k+1..n in column 1, so relabelled, the
     bottom of a square is an (n-k)-row rectangle with column 1 in order and
     column sets P; permuting columns 2..n puts its first row in order.  The
     |Stab(P)| permutations of equal masks in P give distinct bottoms."""
     if not 1 <= n <= COUNT_MAX_ORDER:
         raise ValueError(f"counting supports orders 1..{COUNT_MAX_ORDER}, got {n}")
-    if n < 4:  # layer ceil(n/2) would be the last, which is unmerged
+    if n < 4:  # the join needs layer 1, so n >= 2, but no merged layer k; at n = 2, 3 it is slower
         reduced = _count_by_rows(n, _reduced_border(n))
     else:
         k = (n + 1) // 2

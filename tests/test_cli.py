@@ -277,6 +277,12 @@ def test_bounds_needs_range_or_crossover(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("n_from, n_to", [("0", "5"), ("5", "2")])
+def test_bounds_bad_range_is_bounds_tables_error(capsys, n_from, n_to):
+    expected = f"error: need 1 <= n_from <= n_to, got {n_from}..{n_to}\n"
+    assert run(capsys, "bounds", n_from, n_to) == (2, "", expected)
+
+
 def test_check_chain(capsys):
     for n in ("5", "6"):  # order 6 uses the cited KNOWN_LCS[6]
         code, out, _ = run(capsys, "check-chain", n)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -29,28 +30,46 @@ def test_parse_partial_single_entry():
     assert p.triples() == (Triple(1, 1, 1),)
 
 
+def _rejects(message, text, rows=None):
+    """parse_partial(text), and the constructor on `rows` if given, raise
+    GridError with exactly `message`."""
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(GridError, match=pattern):
+        parse_partial(text)
+    if rows is not None:
+        with pytest.raises(GridError, match=pattern):
+            PartialLatinSquare(rows)
+
+
 def test_parse_rejects_row_duplicate():
-    with pytest.raises(GridError):
-        parse_partial("2\n1 1\n. .\n")
+    _rejects("symbol 1 repeated in row 1", "2\n1 1\n. .\n", [[1, 1], [0, 0]])
 
 
 def test_parse_rejects_column_duplicate():
-    with pytest.raises(GridError):
-        parse_partial("2\n1 .\n1 .\n")
+    _rejects("symbol 1 repeated in column 1", "2\n1 .\n1 .\n", [[1, 0], [1, 0]])
 
 
 def test_parse_rejects_bad_dimensions():
-    with pytest.raises(GridError):
-        parse_partial("3\n1 2 3\n2 3 1\n")
-    with pytest.raises(GridError):
-        parse_partial("2\n1 2 .\n. .\n")
+    _rejects("expected 3 grid rows, got 2", "3\n1 2 3\n2 3 1\n")
+    _rejects("row 1: expected 2 entries, got 3", "2\n1 2 .\n. .\n", [[1, 2, 0], [0, 0]])
+    _rejects("row 2: expected 2 entries, got 1", "2\n1 .\n.\n", [[1, 0], [0]])
+    _rejects("order 40 outside supported range 1..31", "40\n", [[0] * 40 for _ in range(40)])
+    _rejects("empty input", " \n\n")
+    _rejects("first line must contain only the order", "2 2\n1 .\n. .\n")
+    _rejects("order is not an integer: 'two'", "two\n1 .\n. .\n")
 
 
 def test_parse_rejects_out_of_range_symbol():
-    with pytest.raises(GridError):
-        parse_partial("2\n3 .\n. .\n")
-    with pytest.raises(GridError):
-        parse_partial("2\n-1 .\n. .\n")
+    _rejects("row 1: symbol 3 out of range 1..2", "2\n3 .\n. .\n", [[3, 0], [0, 0]])
+    _rejects("row 1: bad token '-1'", "2\n-1 .\n. .\n")
+    _rejects("row 1: symbol 0 out of range 1..2", "2\n00 .\n. .\n")  # "0" is empty, "00" is not
+
+
+def test_first_defect_in_row_major_order_is_reported():
+    # a column repeat at (2,1), a row repeat at (2,2), symbol 5 in row 3 and
+    # a short row 4: the first cell in row-major order decides
+    rows = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 5, 0], [0, 0]]
+    _rejects("symbol 1 repeated in column 1", "4\n1 . . .\n1 1 . .\n. . 5 .\n. .\n", rows)
 
 
 @pytest.mark.parametrize("text", [
@@ -97,9 +116,9 @@ def test_parse_serialize_round_trip_random_suite():
 
 
 def test_constructor_rejects_duplicates():
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match=r"^symbol 1 repeated in row 1$"):
         PartialLatinSquare([[1, 1], [0, 0]])
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match=r"^symbol 1 repeated in column 1$"):
         PartialLatinSquare([[1, 0], [1, 0]])
 
 
