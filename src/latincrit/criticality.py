@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .core import LatinSquare, PartialLatinSquare, Triple, _relabel_triples
 from .enumeration import iter_reduced
-from .solver import NotUniqueError, _count_flat, _free_symbols, _set_cell, _state
+from .solver import NotUniqueError, _count_flat, _free_symbols, _removal_closures, _set_cell, _state
 
 # Known largest-critical-set values for small orders.  Orders 1..5 are
 # recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower
@@ -85,12 +85,24 @@ class LcsRecord(NamedTuple):
 
 def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
     """Full criticality check: unique completability plus, per entry,
-    whether its removal keeps the set uniquely completable.  Every check
-    searches a copy of the set's one solver state, each removal with its
-    entry cleared."""
+    whether its removal keeps the set uniquely completable.
+
+    After the cap-2 check of C, each removal check searches the closure
+    of C minus its entry under forced moves, with nothing dirty.  The
+    closures come from `_removal_closures`, which shares them by halving
+    the entries: a block's state is the closure of C minus that block,
+    its parent's with the other half's cells added and propagated from
+    their rows, columns and symbols only.  That is exact.  Every set met
+    lies inside C, whose one completion L completes it too, so no
+    propagation fails, and a cell the closure already holds is written
+    again with the same symbol.  Forced moves reach one closure in any
+    firing order, and the closure of the closure of A plus B is the
+    closure of A and B.  So each removal check starts from the state the
+    search's own root propagation of C minus its entry would reach: the
+    same tree, count and witnesses."""
     n = c.order
-    base = _state(n, c.cells())
-    count, flats = _count_flat(n, list(map(list.copy, base)), 2)
+    cells = c.cells()
+    count, flats = _count_flat(n, _state(n, cells), 2)
     if count != 1:
         return CriticalityReport(
             uniquely_completable=False,
@@ -101,9 +113,9 @@ def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
         )
     completion_cells = flats[0]
     checks = []
-    for t in c.triples():
-        state = _set_cell(n, list(map(list.copy, base)), t.row - 1, t.col - 1, 0)
-        count, flats = _count_flat(n, state, 2)
+    # triples() and the closures both follow the filled cells in row-major order
+    for t, state in zip(c.triples(), _removal_closures(n, cells)):
+        count, flats = _count_flat(n, state, 2, (0, 0, 0))  # a closed state: nothing dirty
         if count == 1:
             checks.append(RemovalCheck(t, True, None))
         else:

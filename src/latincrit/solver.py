@@ -3,15 +3,19 @@
 A partial Latin square is a set of triples (row, column, symbol) in which
 any two coordinates fix the third.  Backtracking keeps a flat row-major
 grid (0 = empty) and, for each ordered pair of axes (X, Y), a table
-`seen[X][Y]` of bit masks: `seen[X][Y][a]` holds the values of Y that
-share a triple with value a of X.  The tables are named by their axes,
-r (row), c (column) and v (symbol): `rv[r]` holds the symbols of row r,
-`vr[v]` the rows that hold symbol v, and `rc[r]` the filled cells of
-row r.  Symbols are 0-based in the tables (symbol v at bit v - 1).
+`free[X][Y]` of bit masks: `free[X][Y][a]` holds the values of Y that
+are in no triple with value a of X.  The tables are named by their axes,
+r (row), c (column) and v (symbol): `rv[r]` holds the symbols missing
+from row r, `vr[v]` the rows that lack symbol v, and `rc[r]` the empty
+cells of row r.  Symbols are 0-based in the tables (symbol v at bit
+v - 1).  Every rule and the branch-cell scan read free values, so they
+take the tables as they are, with no complement.
 Only this module reads the tables.  `_set_cell` writes a cell and its
 tables; propagation inlines it.  Other modules build a state with
 `_state`, edit it with `_set_cell` by (row, column), ask it for a cell's
-free symbols with `_free_symbols` and count from it with `_count_flat`.
+free symbols with `_free_symbols` and count from it with `_count_flat`,
+and take the closures of a grid minus each of its cells from
+`_removal_closures`.
 
 Each node first closes under forced moves, which are one rule read on
 the three conjugates of the square: two values of two axes that are in
@@ -22,8 +26,11 @@ a cell; on (row, symbol) and (column, symbol) a hidden single, one cell
 left for a symbol in a line.  Propagation keeps bit masks of dirty rows,
 columns and symbols, those in a triple placed since the last fixed
 point, and checks one dirty value at a time, all its pairs in one walk
-over its free partners on one axis.  The root starts with everything
-dirty; a branch starts with the row, column and symbol of the one
+over its free partners on one axis.  The root starts with every row and
+column dirty and no symbol: a row's walk checks its (row, column) and
+(row, symbol) pairs and a column's its (column, row) and (column,
+symbol) pairs, so every pair a symbol's walk would check is already
+covered.  A branch starts with the row, column and symbol of the one
 placement that made it, since its parent was already at a fixed point.
 The rule only ever fires or fails more as triples are added, so every
 firing order reaches the same closure, and fails exactly when another
@@ -41,13 +48,17 @@ a capped count still depend on the search order."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import LatinSquare, PartialLatinSquare
 from .enumeration import ROW_COUNT_MAX_ORDER, _count_by_rows, _row_major_fills
 
 FIXED_POINT = "fixed-point"
 CONTRADICTION = "contradiction"
+
+# The dirty (rows, cols, syms) masks of a root sweep; see the module
+# docstring for why no symbol needs to be dirty.
+_ROOT_DIRTY = (-1, -1, 0)
 
 # Uncapped counts up to ROW_COUNT_MAX_ORDER, every order the row dynamic
 # program takes, use the program; larger orders search.  Measured against
@@ -82,43 +93,51 @@ class CompletionReport(NamedTuple):
 
 
 # The axes of a triple are row 0, column 1 and symbol 2.  The state holds
-# the six tables seen[X][Y] in the order of these pairs (X, Y).
+# the six tables free[X][Y] in the order of these pairs (X, Y).
 _PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-# Per axis X, with Y < Z the other two: the positions of seen[X][Y],
-# seen[X][Z], seen[Y][Z] and seen[Z][Y] among the tables, then Y and Z.
+# Per axis X, with Y < Z the other two: the positions of free[X][Y],
+# free[X][Z], free[Y][Z] and free[Z][Y] among the tables, then Y and Z.
 _AXES = tuple(
     (_PAIRS.index((x, y)), _PAIRS.index((x, z)), _PAIRS.index((y, z)), _PAIRS.index((z, y)), y, z)
     for x, y, z in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
 
 
-def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1) -> bool:
+def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) -> bool:
     """Fill forced cells in place until no rule fires, updating every
     table.  Returns False on contradiction: two values of two axes, in
     no triple together, that no value of the third axis can join.
 
     `rows`, `cols` and `syms` are bit masks of the dirty values of each
     axis (symbol v at bit v - 1): those in a triple placed since the grid
-    was last at a fixed point.  The default -1 marks everything dirty.
-    The rule for a pair (a, b) reads only the tables of a and of b, which
-    change only with a triple holding a or b, so only pairs with a dirty
-    member need checking.  The loop takes one dirty value at a time and
-    clears it: the lowest dirty row, else column, else symbol, value a on
-    axis X, with Y < Z the other axes.  Both of a's rules read one
-    bipartite graph: the Y values b and the Z values z in no triple with
-    a, b and z joined when in no triple together.  One walk over the b
-    reads each one's partners m: none fails; one is a forced move, which
-    takes b and z out of the graph; more are added to bit-sliced counters,
-    `ones` (z met at least once) and `twos` (at least twice).  After the
-    walk a z outside `ones` has no partner and fails, and the partners of
-    a z outside `twos` are read again.  The moves are placed last, which
-    marks their row, column and symbol dirty, a's among them.
+    was last at a fixed point; -1 marks a whole axis dirty.  The rule for
+    a pair (a, b) reads only the tables of a and of b, which change only
+    with a triple holding a or b, so only pairs with a dirty member need
+    checking.  The default, `_ROOT_DIRTY`, is a root sweep: every row and
+    column dirty, no symbol.  Every pair holds a row or a column, and a
+    value's walk checks all its pairs, so the walks of the rows and
+    columns check every pair there is.  The loop takes one dirty value at
+    a time and clears it: the lowest dirty row, else column, else symbol,
+    value a on axis X, with Y < Z the other axes.  Both of a's rules read
+    one bipartite graph: the Y values b and the Z values z in no triple
+    with a, b and z joined when in no triple together.  The free tables
+    hold it as it is: `free[X][Y][a]` and `free[X][Z][a]` are its two
+    sides, and `free[Y][Z][b]` and `free[Z][Y][z]` the edges of b and z,
+    ANDed with a side.  One walk over the b reads each one's partners m:
+    none fails; one is a forced move, which takes b and z out of the
+    graph; more are added to bit-sliced counters, `ones` (z met at least
+    once) and `twos` (at least twice).  After the walk a z outside `ones`
+    has no partner and fails, and the partners of a z outside `twos` are
+    read again.  The moves are placed last, which marks their row, column
+    and symbol dirty, a's among them.
 
     No table the walk reads changes before its moves are placed, and it
     tracks which values of a are still free, so the counts of the z are
     exact when it ends.  A move takes its z from any b walked before it,
     and a z forced after the walk its b from any z counted with it, so
     some partners may be gone.  That can hide a move or a failure, never
-    make one, and a is dirty again, so it is checked anew.
+    make one, and a is dirty again, so it is checked anew.  The moves of
+    one walk share no b and no z, and each one's three pairs were free
+    when read, so placing it flips a free bit off in each of six tables.
 
     The firing order does not change the outcome.  A move that fires on
     a grid still fires on any larger grid reached by sound moves, unless
@@ -128,7 +147,7 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
     grid holds whatever was placed before it stopped.  The placement
     inlines `_set_cell`: a call per forced cell costs about 8% of counting
     time."""
-    full = (1 << n) - 1  # every table bit lies in full, so full ^ m is its complement
+    full = (1 << n) - 1
     tables = (rc, rv, cr, cv, vr, vc)
     rows &= full
     cols &= full
@@ -146,10 +165,10 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
             syms ^= bit
         a = bit.bit_length() - 1
         xy, xz, yz, zy, y, z = _AXES[x]
-        yfree = full ^ tables[xy][a]
+        yfree = tables[xy][a]
         if not yfree:  # a is in a triple with every value: skip the table reads
             continue
-        zfree = full ^ tables[xz][a]
+        zfree = tables[xz][a]
         by_b = tables[yz]
         ones = twos = 0
         moves = []  # forced (b bit, z bit) pairs
@@ -157,7 +176,7 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
         while rest:
             bit = rest & -rest
             rest ^= bit
-            m = zfree & ~by_b[bit.bit_length() - 1]
+            m = zfree & by_b[bit.bit_length() - 1]
             if m & (m - 1):
                 twos |= ones & m
                 ones |= m
@@ -174,7 +193,7 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
         while rest:
             bit = rest & -rest
             rest ^= bit
-            m = yfree & ~by_z[bit.bit_length() - 1]
+            m = yfree & by_z[bit.bit_length() - 1]
             if not m:
                 return False
             if m & (m - 1) == 0:
@@ -187,12 +206,12 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
             r, c, v = t
             cells[r * n + c] = v + 1
             rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
-            rc[r] |= cbit
-            rv[r] |= vbit
-            cr[c] |= rbit
-            cv[c] |= vbit
-            vr[v] |= rbit
-            vc[v] |= cbit
+            rc[r] ^= cbit
+            rv[r] ^= vbit
+            cr[c] ^= rbit
+            cv[c] ^= vbit
+            vr[v] ^= rbit
+            vc[v] ^= cbit
             rows |= rbit
             cols |= cbit
             syms |= vbit
@@ -202,7 +221,8 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=-1)
 def _set_cell(n: int, state: list, r: int, c: int, v: int) -> list:
     """Write symbol v (0 = empty) into 0-based cell (r, c) of a solver state
     in place and return it.  XOR takes the old symbol out and puts v in; a
-    cell filled before and after toggles rc and cr twice, so stays filled."""
+    cell filled before and after toggles rc and cr twice, so stays filled,
+    and writing a cell's own symbol back changes nothing."""
     cells, rc, rv, cr, cv, vr, vc = state
     idx = r * n + c
     rbit, cbit = 1 << r, 1 << c
@@ -222,34 +242,79 @@ def _set_cell(n: int, state: list, r: int, c: int, v: int) -> list:
 def _state(n: int, cells) -> list:
     """The solver state of the flat grid `cells` (0 = empty), which it
     copies: the grid and the six tables that describe it,
-    `[cells, rc, rv, cr, cv, vr, vc]`."""
-    state = [[0] * (n * n)] + [[0] * n for _ in range(6)]
+    `[cells, rc, rv, cr, cv, vr, vc]`, each value free of every other
+    until a triple joins them."""
+    full = (1 << n) - 1
+    state = [[0] * (n * n)] + [[full] * n for _ in range(6)]
     for idx, v in enumerate(cells):
         if v:
             _set_cell(n, state, *divmod(idx, n), v)
     return state
 
 
+def _removal_closures(n: int, cells) -> Iterator[list]:
+    """For each filled cell of the flat grid `cells`, in row-major order,
+    the solver state of the grid with that cell emptied, closed under
+    forced moves; the caller may consume each.  The grid must have a
+    completion, so that no closure fails.
+
+    The filled cells are halved recursively, and a block's state is the
+    closure of the grid without that block, at a fixed point: the whole
+    list's is the closure of the empty grid, and a half's is its
+    parent's with the other half's cells written in, propagated from
+    their rows, columns and symbols only.  The leaves are the cells, so
+    with k of them about log2(k) + 1 states are alive at once."""
+    filled = [(*divmod(idx, n), v) for idx, v in enumerate(cells) if v]
+
+    def add(state: list, block) -> list:
+        rows = cols = syms = 0
+        for r, c, v in block:
+            _set_cell(n, state, r, c, v)
+            rows |= 1 << r
+            cols |= 1 << c
+            syms |= 1 << (v - 1)
+        _propagate_flat(n, *state, rows, cols, syms)
+        return state
+
+    def halve(state: list, lo: int, hi: int) -> Iterator[list]:
+        # state: the closure of the grid without filled[lo:hi]
+        if hi - lo == 1:
+            yield state
+            return
+        mid = (lo + hi) // 2
+        yield from halve(add(list(map(list.copy, state)), filled[mid:hi]), lo, mid)
+        yield from halve(add(state, filled[lo:mid]), mid, hi)
+
+    if filled:
+        empty = _state(n, [0] * (n * n))
+        _propagate_flat(n, *empty)
+        yield from halve(empty, 0, len(filled))
+
+
 def _free_symbols(n: int, state: list, r: int, c: int) -> list[int]:
     """The symbols, ascending, in no triple with 0-based row r or column c
     of a solver state; a filled cell's own symbol is not free."""
-    free = ((1 << n) - 1) ^ (state[2][r] | state[4][c])  # rv[r] | cv[c]
+    free = state[2][r] & state[4][c]  # rv[r] & cv[c]
     return [v + 1 for v in range(n) if free >> v & 1]
 
 
-def _search_count(n: int, state: list, cap) -> tuple[int, list]:
+def _search_count(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, list]:
     """The min-width search from a solver state, which it consumes.
     Counts completions up to cap, keeping the two whose serialized text
     is smallest among those seen.  Returns the count (saturated at cap)
-    and up to two witness grids as flat tuples."""
-    full = (1 << n) - 1
+    and up to two witness grids as flat tuples.  `dirty` holds the
+    (rows, cols, syms) masks the root propagates from: a root sweep by
+    default, none for a state already at a fixed point."""
     # Keys order like serialized text, whose separators sort below the
     # digits: symbols compare as strings, so from n = 10 on "10" < "2".
-    text_rank = None if n <= 9 else {v: k for k, v in enumerate(sorted(range(1, n + 1), key=str))}
+    # A cap-1 search keeps its one leaf and needs no order.
+    text_rank = None
+    if n > 9 and cap != 1:
+        text_rank = {v: k for k, v in enumerate(sorted(range(1, n + 1), key=str))}
     best = []  # [(key, cells tuple)], at most 2, sorted
     count = 0
 
-    def search(state: list, rows=-1, cols=-1, syms=-1):
+    def search(state: list, rows, cols, syms):
         nonlocal count
         if not _propagate_flat(n, *state, rows, cols, syms):
             return
@@ -258,12 +323,12 @@ def _search_count(n: int, state: list, cap) -> tuple[int, list]:
         best_cand = 0
         best_width = n + 1
         for r in range(n):
-            empty = full ^ rc[r]
+            empty = rc[r]
             while empty:
                 cbit = empty & -empty
                 empty ^= cbit
                 c = cbit.bit_length() - 1
-                cand = full ^ (rv[r] | cv[c])
+                cand = rv[r] & cv[c]
                 width = cand.bit_count()
                 if width < best_width:
                     best_r, best_c, best_cand, best_width = r, c, cand, width
@@ -292,20 +357,21 @@ def _search_count(n: int, state: list, cap) -> tuple[int, list]:
             if cap is not None and count >= cap:
                 return
 
-    search(state)
+    search(state, *dirty)
     return count, [w for _, w in best]
 
 
-def _count_flat(n: int, state: list, cap) -> tuple[int, list]:
-    """Core counting from a solver state, which it consumes; returns what
-    `_search_count` returns.  Uncapped counts of order <=
+def _count_flat(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, list]:
+    """Core counting from a solver state, which it consumes, its root
+    propagated from the `dirty` masks; returns what `_search_count`
+    returns.  Uncapped counts of order <=
     ROW_COUNT_MAX_ORDER take the count from the row dynamic program and
     the witnesses from the row-major filler: it tries symbols in ascending
     order, so it yields completions in row-major lexicographic order,
     which is text order for n <= 9."""
     if cap is not None or n > ROW_COUNT_MAX_ORDER:
-        return _search_count(n, state, cap)
-    if not _propagate_flat(n, *state):
+        return _search_count(n, state, cap, dirty)
+    if not _propagate_flat(n, *state, *dirty):
         return 0, []
     cells = state[0]
     count = _count_by_rows(n, cells)

@@ -2,11 +2,13 @@
 oracle, its witnesses and propagation, and completion counts under
 relabeling and the six conjugates, on random partial squares of order
 <= 4; propagation against the oracle's full sweeps at orders up to 8,
-and under conjugation (also on a fixed seeded set of half-empty grids
-of orders 6 and 7); minimize_uc against the oracle on uniquely
-completable partial squares of order <= 5; criticality under relabeling
-and conjugation at orders up to 6; verify_critical's removal checks
-against counts from scratch at orders up to 7; the search against the row dynamic
+its root sweep of rows and columns against a sweep of every axis at
+orders up to 8, and under conjugation (also on a fixed seeded set of
+half-empty grids of orders 6 and 7); minimize_uc against the oracle on
+uniquely completable partial squares of order <= 5; criticality under
+relabeling and conjugation at orders up to 6; verify_critical's removal
+checks against counts from scratch at orders up to 7 and on the order-13
+Nelder triangle; the search against the row dynamic
 program of `enumeration`, and uncapped counts against the search, at
 orders up to 7; the row program's merging of interchangeable columns
 against the search and the oracle at orders up to 6; conjugation again
@@ -17,11 +19,11 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latincrit import solver
-from latincrit.constructions import random_latin_square
+from latincrit.constructions import classic_5x5, nelder_triangle, random_latin_square
 from latincrit.core import (
     GridError,
     LatinSquare,
@@ -354,6 +356,19 @@ def test_propagation_matches_naive_sweeps(case, data):
             assert _square(n, state[0]).grid == grid
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flat_partial_squares(max_order=8), half_empty_subsets()))
+def test_root_sweep_of_rows_and_columns_matches_a_sweep_of_every_axis(case):
+    # a row's walk checks its column and symbol pairs and a column's walk
+    # its row and symbol pairs, so the root needs no symbol dirty
+    n, cells = case
+    root, every_axis = solver._state(n, cells), solver._state(n, cells)
+    ok = solver._propagate_flat(n, *root)
+    assert ok == solver._propagate_flat(n, *every_axis, -1, -1, -1)
+    if ok:
+        assert root == every_axis
+
+
 @settings(max_examples=100, deadline=None)
 @given(uniquely_completable_squares(), st.sampled_from(["row-major", "random"]), st.integers(0, 100))
 def test_minimize_uc_gives_a_critical_subset_with_the_same_completion(p, removal_order, seed):
@@ -384,9 +399,16 @@ def near_critical_sets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(uniquely_completable_squares(), near_critical_sets()))
+# 78 entries, halved over 7 levels down to the leaves
+@example(nelder_triangle(13))
+# one entry: the one leaf is the closure of the empty grid
+@example(PartialLatinSquare([[1]]))
+# 5 removable entries, whose removed cells the shared closures refill
+@example(PartialLatinSquare.from_triples(5, classic_5x5().triples() + ((5, 5, 2),)))
 def test_removal_checks_match_fresh_counts(p):
-    # every removal check searches a copy of one state shared by the pass,
-    # and must answer as a count of the reduced grid built from scratch
+    # every removal check searches a closure shared down the halving of
+    # the entries, and must answer as a count of the reduced grid built
+    # from scratch
     report = verify_critical(p)
     assert report.uniquely_completable
     assert [ch.triple for ch in report.removal_checks] == list(p.triples())

@@ -250,17 +250,27 @@ UNCAPPED_8_COUNT_NODES = [(199, 407), (80, 167), (30, 59), (324, 665)]
 
 def _nodes_per_search(monkeypatch, run):
     """Calls run() and returns its result and the search-node count of
-    each _search_count call it made."""
+    each _search_count call it made: the _propagate_flat calls made while
+    it ran.  Both names are patched in solver, where their callers look
+    them up, and propagation outside a search, such as the closures that
+    verify_critical's removal checks share, is not counted."""
     nodes = []
+    searching = False
     propagate_flat, search_count = solver._propagate_flat, solver._search_count
 
     def counted_propagate(*args):
-        nodes[-1] += 1
+        if searching:
+            nodes[-1] += 1
         return propagate_flat(*args)
 
     def counted_search(*args):
+        nonlocal searching
         nodes.append(0)
-        return search_count(*args)
+        searching = True
+        try:
+            return search_count(*args)
+        finally:
+            searching = False
 
     monkeypatch.setattr(solver, "_propagate_flat", counted_propagate)
     monkeypatch.setattr(solver, "_search_count", counted_search)
@@ -270,6 +280,10 @@ def _nodes_per_search(monkeypatch, run):
 def test_search_trees_are_frozen(monkeypatch):
     _, nodes = _nodes_per_search(monkeypatch, lambda: verify_critical(nelder_triangle(8)))
     assert nodes == NELDER_8_VERIFY_NODES
+    # the one removal check at order 1 starts from the closure of the empty
+    # grid, which is full, as a search of the empty grid reaches at its root
+    _, nodes = _nodes_per_search(monkeypatch, lambda: verify_critical(PartialLatinSquare([[1]])))
+    assert nodes == [1, 1]
     _, nodes = _nodes_per_search(monkeypatch, lambda: minimize_uc(random_latin_square(8, 0)))
     assert nodes == MINIMIZE_8_NODES
     for seed, (count, search_nodes) in enumerate(UNCAPPED_8_COUNT_NODES):
