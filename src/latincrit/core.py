@@ -234,3 +234,21 @@ def _relabel_triples(triples: Iterable[tuple], row_perm, col_perm, sym_perm) -> 
     plain tuples (half the cost of Triples); the maps are not checked."""
     return tuple(sorted([(row_perm[r - 1] + 1, col_perm[c - 1] + 1, sym_perm[s - 1] + 1)
                          for r, c, s in triples]))
+
+
+def conjugate(n: int, cells: Sequence[int], axes: Sequence[int]) -> list[int]:
+    """The conjugate of the flat row-major grid `cells` (0 = empty) that
+    reads every triple's coordinates in the order `axes`, a permutation of
+    (0, 1, 2) = (row, column, symbol): the triple t, 0-based, becomes
+    (t[axes[0]], t[axes[1]], t[axes[2]]), so (1, 0, 2) is the transpose.
+    It keeps the Latin property and maps completions one to one onto
+    completions.  Raises GridError unless `axes` is such a permutation."""
+    if sorted(axes) != [0, 1, 2]:
+        raise GridError(f"axes {list(axes)} are not a permutation of 0, 1, 2")
+    x, y, z = axes
+    out = [0] * (n * n)
+    for idx, v in enumerate(cells):
+        if v:
+            t = (*divmod(idx, n), v - 1)
+            out[t[x] * n + t[y]] = t[z] + 1
+    return out

@@ -351,7 +351,8 @@ def lcs_exhaustive(n: int) -> LcsRecord:
     its own critical sets, so any single isotopism maps its largest sets
     onto exactly the largest sets of a class member.  Only sets of the
     global maximum size can be the witness, so the representative's
-    largest sets, carried onto every reduced member, hold it.  The size
+    largest sets, carried onto every other reduced member, hold it; the
+    representative's own sets need no carrying (the identity).  The size
     found so far is the floor for the next representative, so a class
     whose largest sets are smaller (the cyclic class at order 5: 10
     against 11) yields none.
@@ -363,11 +364,11 @@ def lcs_exhaustive(n: int) -> LcsRecord:
         sets = _largest_critical_sets(rep, squares, value)
         if sets:
             value = len(sets[0])
-            largest.append((sets, members))
+            largest.append((rep, sets, members))
     witness, square = min(
         (
-            (_relabel_triples(c, *iso), member)
-            for sets, members in largest if len(sets[0]) == value
+            (c if member is rep else _relabel_triples(c, *iso), member)
+            for rep, sets, members in largest if len(sets[0]) == value
             for member, iso in members for c in sets
         ),
         key=lambda cs: cs[0],

@@ -17,6 +17,16 @@ rectangle up to a permutation of columns, so `count_all` joins the counts
 of two middle layers.  `solver` counts uncapped completions of small
 orders with the same program.  Counts are exact Python integers (L(6) =
 812,851,200 exceeds 32 bits).
+
+On a partial grid the program may run on a conjugate, in another row
+order.  Permuting the three coordinates of every triple maps the
+completions of a grid one to one onto those of its conjugate, and the
+count does not depend on the row order.  The solver's forced-move rule
+reads the three axes alike, so the conjugate of a closed grid is closed
+too.  The time can differ several-fold, so from a measured number of
+holes on, `_layout` picks both by a layer bound on the state sets,
+computed only from where the free values are (see `_layout`); below it,
+choosing costs more than it saves.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from collections import Counter, defaultdict
 from itertools import islice, permutations
 from typing import Iterator, NamedTuple
 
-from .core import LatinSquare
+from .core import LatinSquare, conjugate
 
 # R(7) = 16,942,080 is counted in 0.28-0.47 s (best of 7; 2-vCPU Xeon, Python 3.11).
 # R(8) is out of reach: after its first four rows the state sets hold 1;
@@ -37,6 +47,10 @@ COUNT_MAX_ORDER = 7
 LIST_MAX_ORDER = 6
 # `_count_by_rows` packs a column's symbols into one byte of its state.
 ROW_COUNT_MAX_ORDER = 8
+# Per axis (row 0, column 1, symbol 2), the conjugate that takes its values
+# as rows, the other two axes in order as columns and symbols.
+_ROW_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_PAIRS = tuple(permutations(range(3), 2))  # the ordered pairs of axes
 
 
 class EnumerationResult(NamedTuple):
@@ -102,17 +116,20 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
 
 # The last free cells of a row, up to this many, are filled together from a
 # table of the placements of the row's remaining symbols, built once per
-# remaining set.  On the 240 grids of the `count` benchmark the program
-# took 0.68 s at 3, against 0.81 s at 2 and 0.71 s at 4, and R(6) 4.1 ms
-# against 4.6 and 4.3 ms (best of 7, 2-vCPU Xeon, Python 3.11).
+# remaining set.  On the 240 grids of the `count` benchmark, closed under
+# forced moves and counted with the layout chooser, the program took
+# 0.45 s at 3, against 0.55 s at 2 and 0.48 s at 4; R(6) took 2.1 ms at
+# 3 and 4 and 2.2 ms at 2, and R(7) 0.24 s, against 0.31 and 0.26 s
+# (best of 5 rounds, interleaved; 2-vCPU Xeon, Python 3.11).
 _TAIL_CELLS = 3
 
 
-def _row_layers(n: int, cells: list) -> Iterator[dict]:
+def _row_layers(n: int, cells: list, rows=None) -> Iterator[dict]:
     """The row program's walk over the flat row-major grid `cells` (0 =
     empty), which must repeat no symbol in a row or column: yields the
-    column states after 0, 1, ..., n - 1 of its rows, each a dict from
-    state to the number of ways to reach it.  The last layer is unmerged.
+    column states after 0, 1, ..., n - 1 of its rows, taken in the order
+    `rows`, each a dict from state to the number of ways to reach it.
+    The last layer is unmerged.
 
     Once some rows are filled, the rest of the square depends only on the
     symbols in each column, so fillings that reach the same state merge.
@@ -123,13 +140,15 @@ def _row_layers(n: int, cells: list) -> Iterator[dict]:
     a byte per column (so n <= ROW_COUNT_MAX_ORDER), in an order that
     makes each group one run of bytes.  The masks start with every given
     symbol of their column, so a free cell never takes a symbol given
-    elsewhere in its column.  Rows go fewest free cells first, which keeps
-    the early state sets small; the count does not depend on the order."""
+    elsewhere in its column.  By default rows go fewest free cells first,
+    which keeps the early state sets small; the count does not depend on
+    the order."""
     if n > ROW_COUNT_MAX_ORDER:
         raise ValueError(f"the row program packs a column into one byte: orders 1..{ROW_COUNT_MAX_ORDER}, "
                          f"got {n}")
     full = (1 << n) - 1
-    rows = sorted(range(n), key=lambda r: cells[r * n : (r + 1) * n].count(0))
+    if rows is None:
+        rows = sorted(range(n), key=lambda r: cells[r * n : (r + 1) * n].count(0))
     # bit k of where[c]: column c is free in rows[k]
     where = [sum(1 << k for k, r in enumerate(rows) if not cells[r * n + c]) for c in range(n)]
     columns = sorted(range(n), key=where.__getitem__)  # in this order every group is a run
@@ -184,6 +203,74 @@ def _row_layers(n: int, cells: list) -> Iterator[dict]:
         yield states
 
 
+# From this many holes on the layout chooser of `_count_by_rows` pays: it
+# takes 50-120 us, and the row program runs on the grid as given below it
+# and at orders not listed.  Counted on grids closed under forced moves
+# (the `count` benchmark's and random ones; best of 5, 2-vCPU Xeon,
+# Python 3.11), chooser plus program against the program alone took
+# 0.63-0.87x from 26 holes on at order 6 and 1.02-1.26x at 20-25, at
+# order 7 0.62-1.01x from 30 on and 1.06-1.26x at 23-29, at order 8
+# 0.21-1.07x from 30 on and 0.98-1.5x at 25-29.  At order 5 it never paid.
+_LAYOUT_MIN_HOLES = {6: 26, 7: 30, 8: 30}
+
+
+def _layout(n: int, cells: list) -> tuple[tuple, list]:
+    """The conjugate (an axis order for `core.conjugate`) and the row
+    order that the row program should run `cells` in, chosen by a layer
+    bound read only from where the free values are.
+
+    Take the values of axis X as rows and the other two, Y < Z, as
+    columns and symbols.  After the first k rows of a row order are
+    filled, the state is the set of (column, symbol) pairs they hold, and its number
+    is at most both prod_c C(m_c, f_c(k)) and prod_s C(M_s, d_s(k)):
+    m_c is the number of free cells of column c and f_c(k) the number of
+    them in the first k rows, M_s the number of rows missing symbol s and
+    d_s(k) the number of those among the first k rows.  The layer bound
+    sums the lesser product over k = 1..n-1.  Each m and f is a bit count
+    of the six tables free[X][W][a], the values of axis W in no triple
+    with value a of axis X.  The axis with the least bound, rows fewest
+    free cells first as `_row_layers` takes them, is chosen (ties to the
+    lower axis; the grid itself is axis 0).  Its rows are then ordered
+    again: still fewest free cells first, but among rows with equally
+    many, each next row is the one that leaves the column product least.
+    That order is kept if its bound is less.  Orders chosen by the bound
+    alone, free counts ignored, were two to three times as slow as rows
+    fewest free first on some order-8 grids."""
+    full = (1 << n) - 1
+    free = [[[full] * n for _ in range(3)] for _ in range(3)]  # free[X][W][a]
+    for idx, v in enumerate(cells):
+        if v:
+            t = (*divmod(idx, n), v - 1)
+            for x, w in _PAIRS:
+                free[x][w][t[x]] ^= 1 << t[w]
+
+    def product(w: int, x: int, done: int) -> int:  # over the values of axis w
+        return math.prod([math.comb(m.bit_count(), (m & done).bit_count()) for m in free[w][x]])
+
+    def bound(x: int, rows: list) -> int:
+        done = total = 0
+        for a in rows[:-1]:
+            done |= 1 << a
+            total += min(product(w, x, done) for w in range(3) if w != x)
+        return total
+
+    fewest = [sorted(range(n), key=lambda a: free[x][y][a].bit_count()) for x, y, _ in _ROW_AXES]
+    costs = [bound(x, fewest[x]) for x in range(3)]
+    x = costs.index(min(costs))
+    y = _ROW_AXES[x][1]
+    left = fewest[x].copy()
+    rows = []
+    done = 0
+    while left:
+        width = free[x][y][left[0]].bit_count()
+        a = min([a for a in left if free[x][y][a].bit_count() == width],
+                key=lambda a: product(y, x, done | 1 << a))
+        left.remove(a)
+        rows.append(a)
+        done |= 1 << a
+    return _ROW_AXES[x], rows if bound(x, rows) < costs[x] else fewest[x]
+
+
 def _count_by_rows(n: int, cells: list) -> int:
     """Number of completions of the flat row-major grid `cells` (0 =
     empty), which must repeat no symbol in a row or column: the ways summed
@@ -192,8 +279,23 @@ def _count_by_rows(n: int, cells: list) -> int:
     column's givens, so a symbol given in the last row is in all n masks
     and any other in n - 1.  So a column given in that row is full, and
     each free one misses exactly one symbol: together, once each, the
-    symbols the row lacks."""
-    for states in _row_layers(n, cells):
+    symbols the row lacks.
+
+    The program may run on a conjugate instead, in another row order.
+    Reading every triple's coordinates in another order maps the
+    completions of a grid one to one onto those of its conjugate, so the
+    count is the same, and no row order changes it; the forced-move rule
+    reads the three axes alike, so the conjugate of a grid at a fixed
+    point is at a fixed point too.  But the state sets, and so the time,
+    can differ several-fold.  With at least `_LAYOUT_MIN_HOLES[n]` holes
+    `_layout` chooses both by its layer bound; with fewer, choosing costs
+    more than it saves."""
+    rows = None
+    if cells.count(0) >= _LAYOUT_MIN_HOLES.get(n, n * n + 1):
+        axes, rows = _layout(n, cells)
+        if axes != (0, 1, 2):
+            cells = conjugate(n, cells, axes)
+    for states in _row_layers(n, cells, rows):
         pass
     return sum(states.values())
 

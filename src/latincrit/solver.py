@@ -41,9 +41,10 @@ witnesses are deterministic.
 
 Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
 They close the root under forced moves once, count with the row dynamic
-program `enumeration._count_by_rows`, and take as witnesses the first
-two completions of the row-major filler, which are the two smallest in
-text order.  Capped counts and larger orders search, so the witnesses of
+program `enumeration._count_by_rows`, which on a grid with many holes
+runs on the conjugate and in the row order its layer bound favours, and
+take as witnesses the first two completions of the row-major filler on
+the grid as given, which are the two smallest in text order.  Capped counts and larger orders search, so the witnesses of
 a capped count still depend on the search order."""
 
 from __future__ import annotations
@@ -66,10 +67,12 @@ _ROOT_DIRTY = (-1, -1, 0)
 # fractions, grids with no completion; 2-vCPU Xeon, Python 3.11): at
 # orders 5-7 the program took 6-7x less time in total and lost at most
 # 3 ms on any grid.  At order 8, with states equal up to a swap of columns
-# merged, 100 grids (52 critical sets, 33 with 24-44 holes, 15 with no
-# completion) took it 1.5 s against 9.3 s, and it lost at most 8-12 ms on
-# a grid, a critical set.  At order 10 it lost up to 1.4 s on a critical
-# set.
+# merged and the layout chooser, 100 grids (52 critical sets from
+# minimize_uc, 33 with 24-44 holes, 15 with no completion) took it
+# 0.45-0.59 s against 2.4-3.2 s, and it lost at most 31-53 ms on a grid, a
+# critical set whose witness fill takes most of that.  Without the chooser
+# the program took 0.38-0.39 s there: one grid with 42 holes went from
+# 73 to 198 ms.  At order 10 it lost up to 1.4 s on a critical set.
 
 
 class NotUniqueError(ValueError):

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import permutations
 
 import pytest
 
@@ -10,11 +11,14 @@ from latincrit.core import (
     PartialLatinSquare,
     Triple,
     _relabel_triples,
+    conjugate,
     parse_partial,
     relabel,
     serialize,
 )
 from latincrit.constructions import classic_5x5, random_latin_square
+
+import oracle
 
 
 def test_parse_complete_cyclic():
@@ -181,6 +185,25 @@ def test_relabel_triples_moves_each_cell_by_the_maps():
             moved = {(row_perm[t.row - 1], col_perm[t.col - 1]): sym_perm[t.sym - 1] + 1 for t in triples}
             expected = tuple(Triple(i + 1, j + 1, moved[i, j]) for i in range(n) for j in range(n) if (i, j) in moved)
             assert _relabel_triples(triples, row_perm, col_perm, sym_perm) == expected
+
+
+def test_conjugate_agrees_with_the_oracle_on_all_six_axis_orders():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        cells = random_latin_square(n, seed=n).cells()
+        for _ in range(4):
+            partial = [v if rng.random() < 0.6 else 0 for v in cells]
+            for axes in permutations(range(3)):
+                image = conjugate(n, partial, axes)
+                assert image == oracle.conjugate(n, partial, axes)
+                PartialLatinSquare.from_cells(n, image)  # still Latin
+        assert conjugate(n, cells, (0, 1, 2)) == cells
+
+
+@pytest.mark.parametrize("axes", [(0, 1, 1), (0, 1), (1, 2, 3), (0, 1, 2, 0)])
+def test_conjugate_rejects_axes_that_are_not_a_permutation(axes):
+    with pytest.raises(GridError):
+        conjugate(2, [1, 0, 0, 2], axes)
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,12 @@ half-empty grids of orders 6 and 7); minimize_uc against the oracle on
 uniquely completable partial squares of order <= 5; criticality under
 relabeling and conjugation at orders up to 6; verify_critical's removal
 checks against counts from scratch at orders up to 7 and on the order-13
-Nelder triangle; the search against the row dynamic
-program of `enumeration`, and uncapped counts against the search, at
-orders up to 7; the row program's merging of interchangeable columns
-against the search and the oracle at orders up to 6; conjugation again
+Nelder triangle; the search against the row dynamic program of
+`enumeration`, and uncapped counts against the search, at orders up to
+7; the row program on every conjugate, in any row order and in the
+layout its chooser picks, against the search at orders up to 8; the row
+program's merging of interchangeable columns against the search and the
+oracle at orders up to 6; conjugation again
 at orders 5 to 8; the flat-cell codec of `core`; and grid text parsing
 on arbitrary input."""
 
@@ -33,7 +35,7 @@ from latincrit.core import (
     serialize,
 )
 from latincrit.criticality import minimize_uc, verify_critical
-from latincrit.enumeration import _count_by_rows
+from latincrit.enumeration import _LAYOUT_MIN_HOLES, _count_by_rows, _layout, _row_layers
 from latincrit.solver import (
     CONTRADICTION,
     FIXED_POINT,
@@ -202,6 +204,49 @@ def test_search_matches_oracle(p):
 def test_solver_count_matches_row_dynamic_program(case):
     n, cells = case
     assert _search_count(n, _state(n, cells), None)[0] == _count_by_rows(n, cells)
+
+
+def _rows_count(n, cells, rows):
+    """The row program's count of `cells`, rows taken in the order `rows`."""
+    for states in _row_layers(n, cells, rows):
+        pass
+    return sum(states.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(flat_partial_squares(), dense_subsets(orders=(5, 6, 7, 8))), st.permutations(range(3)), st.data())
+def test_row_program_counts_every_conjugate_in_every_row_order(case, axes, data):
+    # the count of a conjugate is the grid's count, in any row order, and in
+    # the conjugate and row order the layout chooser picks for it (which
+    # `_count_by_rows` asks for at the most holes `dense_subsets` leaves)
+    n, cells = case
+    image = conjugate(n, cells, axes)
+    count = _count_by_rows(n, image)
+    assert count == _search_count(n, _state(n, cells), None)[0]
+    if n <= 5:
+        assert count == naive_count(_square(n, cells))
+    assert _rows_count(n, image, data.draw(st.permutations(range(n)))) == count
+    chosen, rows = _layout(n, image)
+    assert sorted(rows) == list(range(n))
+    assert _rows_count(n, conjugate(n, image, chosen), rows) == count
+
+
+def test_layout_chooser_keeps_the_grids_own_witnesses():
+    # an order-7 grid whose closure has more holes than the chooser's
+    # threshold, on which it counts another conjugate; the witnesses still
+    # come from the grid as given, the two smallest
+    rng = random.Random(4)
+    cells = random_latin_square(7, 4).cells()
+    for idx in rng.sample(range(49), 33):
+        cells[idx] = 0
+    closed = propagate(_square(7, cells))[0].cells()
+    assert closed.count(0) >= _LAYOUT_MIN_HOLES[7]
+    axes, rows = _layout(7, closed)
+    assert axes == (2, 0, 1)  # symbols as rows
+    report = count_completions(_square(7, cells))
+    count, flats = _search_count(7, _state(7, cells), None)
+    assert report.count == count == _rows_count(7, conjugate(7, closed, axes), rows)
+    assert [tuple(w.cells()) for w in report.witnesses] == flats
 
 
 @settings(max_examples=200, deadline=None)
