@@ -12,8 +12,10 @@ checks all the rest.
 Coordinates are 1-indexed in all external formats and in Triple values;
 the internal grid tuples are 0-indexed with 0 marking an empty cell.
 `cells()` and `from_cells()` are the one codec between a grid and its
-flat row-major list, cell (r, c) at index r * n + c.
-All values are immutable after construction and safe to share.
+flat row-major list, cell (r, c) at index r * n + c.  All squares are
+immutable after construction and safe to share.  `_state` is the one
+builder of the solver state, that list and its free-value tables, which
+every exact check reads and the solver edits in place.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 # Symbol masks for rows/columns must fit a machine word.
 MAX_ORDER = 31
+
+# The axes of a triple are row 0, column 1 and symbol 2.  A solver state
+# holds the six tables free[X][Y] in the order of these pairs (X, Y).
+_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 class GridError(ValueError):
@@ -236,19 +242,25 @@ def _relabel_triples(triples: Iterable[tuple], row_perm, col_perm, sym_perm) -> 
                          for r, c, s in triples]))
 
 
-def conjugate(n: int, cells: Sequence[int], axes: Sequence[int]) -> list[int]:
-    """The conjugate of the flat row-major grid `cells` (0 = empty) that
-    reads every triple's coordinates in the order `axes`, a permutation of
-    (0, 1, 2) = (row, column, symbol): the triple t, 0-based, becomes
-    (t[axes[0]], t[axes[1]], t[axes[2]]), so (1, 0, 2) is the transpose.
-    It keeps the Latin property and maps completions one to one onto
-    completions.  Raises GridError unless `axes` is such a permutation."""
-    if sorted(axes) != [0, 1, 2]:
-        raise GridError(f"axes {list(axes)} are not a permutation of 0, 1, 2")
-    x, y, z = axes
-    out = [0] * (n * n)
+def _state(n: int, cells: Sequence[int]) -> list:
+    """The solver state of the flat grid `cells` (0 = empty), which it
+    copies: `[cells, rc, rv, cr, cv, vr, vc]`, the grid and its six tables
+    free[X][Y] in `_PAIRS` order, where `free[X][Y][a]` holds the values
+    of axis Y in no triple with value a of axis X (symbol v at bit v - 1).
+    Every value starts free of every other, and each given is XORed out
+    of the six tables."""
+    full = (1 << n) - 1
+    tables = [[full] * n for _ in range(6)]
+    rc, rv, cr, cv, vr, vc = tables
     for idx, v in enumerate(cells):
         if v:
-            t = (*divmod(idx, n), v - 1)
-            out[t[x] * n + t[y]] = t[z] + 1
-    return out
+            r, c = divmod(idx, n)
+            v -= 1
+            rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
+            rc[r] ^= cbit
+            rv[r] ^= vbit
+            cr[c] ^= rbit
+            cv[c] ^= vbit
+            vr[v] ^= rbit
+            vc[v] ^= cbit
+    return [list(cells), *tables]

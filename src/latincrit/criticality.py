@@ -32,9 +32,9 @@ import random
 from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import LatinSquare, PartialLatinSquare, Triple, _relabel_triples
+from .core import LatinSquare, PartialLatinSquare, Triple, _relabel_triples, _state
 from .enumeration import iter_reduced
-from .solver import NotUniqueError, _count_flat, _free_symbols, _removal_closures, _set_cell, _state
+from .solver import NotUniqueError, _count_flat, _free_symbols, _removal_closures, _set_cell
 
 # Known largest-critical-set values for small orders.  Orders 1..5 are
 # recomputed by lcs_exhaustive (order 5 in CI).  For order 6 the lower

@@ -18,15 +18,16 @@ of two middle layers.  `solver` counts uncapped completions of small
 orders with the same program.  Counts are exact Python integers (L(6) =
 812,851,200 exceeds 32 bits).
 
-On a partial grid the program may run on a conjugate, in another row
-order.  Permuting the three coordinates of every triple maps the
-completions of a grid one to one onto those of its conjugate, and the
-count does not depend on the row order.  The solver's forced-move rule
-reads the three axes alike, so the conjugate of a closed grid is closed
-too.  The time can differ several-fold, so from a measured number of
-holes on, `_layout` picks both by a layer bound on the state sets,
-computed only from where the free values are (see `_layout`); below it,
-choosing costs more than it saves.
+The program reads a grid only through the six free-value tables of
+`core._state`.  On a partial grid it may run on a conjugate, in another
+row order.  Permuting the three coordinates of every triple maps the
+completions of a grid one to one onto those of its conjugate, whose
+tables are the grid's in another order, and the count does not depend
+on the row order.  The solver's forced-move rule reads the three axes
+alike, so the conjugate of a closed grid is closed too.  The time can differ several-fold, so
+from a measured number of holes on, `_layout` picks both by a layer
+bound on the state sets, computed only from where the free values are
+(see `_layout`); below it, choosing costs more than it saves.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from collections import Counter, defaultdict
 from itertools import islice, permutations
 from typing import Iterator, NamedTuple
 
-from .core import LatinSquare, conjugate
+from .core import _PAIRS, LatinSquare, _state
 
 # R(7) = 16,942,080 is counted in 0.28-0.47 s (best of 7; 2-vCPU Xeon, Python 3.11).
 # R(8) is out of reach: after its first four rows the state sets hold 1;
@@ -50,7 +51,6 @@ ROW_COUNT_MAX_ORDER = 8
 # Per axis (row 0, column 1, symbol 2), the conjugate that takes its values
 # as rows, the other two axes in order as columns and symbols.
 _ROW_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-_PAIRS = tuple(permutations(range(3), 2))  # the ordered pairs of axes
 
 
 class EnumerationResult(NamedTuple):
@@ -124,12 +124,12 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
 _TAIL_CELLS = 3
 
 
-def _row_layers(n: int, cells: list, rows=None) -> Iterator[dict]:
-    """The row program's walk over the flat row-major grid `cells` (0 =
-    empty), which must repeat no symbol in a row or column: yields the
-    column states after 0, 1, ..., n - 1 of its rows, taken in the order
-    `rows`, each a dict from state to the number of ways to reach it.
-    The last layer is unmerged.
+def _row_layers(n: int, tables: list, rows=None) -> Iterator[dict]:
+    """The row program's walk over the grid whose six free-value tables,
+    `core._state(n, cells)[1:]`, are `tables`; the grid must repeat no
+    symbol in a row or column.  Yields the column states after 0, 1, ...,
+    n - 1 of its rows, taken in the order `rows`, each a dict from state
+    to the number of ways to reach it.  The last layer is unmerged.
 
     Once some rows are filled, the rest of the square depends only on the
     symbols in each column, so fillings that reach the same state merge.
@@ -147,20 +147,15 @@ def _row_layers(n: int, cells: list, rows=None) -> Iterator[dict]:
         raise ValueError(f"the row program packs a column into one byte: orders 1..{ROW_COUNT_MAX_ORDER}, "
                          f"got {n}")
     full = (1 << n) - 1
+    rc, rv, cr, cv = tables[:4]
     if rows is None:
-        rows = sorted(range(n), key=lambda r: cells[r * n : (r + 1) * n].count(0))
+        rows = sorted(range(n), key=lambda r: rc[r].bit_count())
     # bit k of where[c]: column c is free in rows[k]
-    where = [sum(1 << k for k, r in enumerate(rows) if not cells[r * n + c]) for c in range(n)]
+    where = [sum(1 << k for k, r in enumerate(rows) if cr[c] >> r & 1) for c in range(n)]
     columns = sorted(range(n), key=where.__getitem__)  # in this order every group is a run
-    cells = [cells[r * n + c] for r in range(n) for c in columns]
-    row_given = [0] * n
-    start = 0
-    for idx, v in enumerate(cells):
-        if v:
-            r, c = divmod(idx, n)
-            row_given[r] |= 1 << (v - 1)
-            start |= 1 << (8 * c + v - 1)
-    free = [[8 * c for c in range(n) if not cells[r * n + c]] for r in range(n)]  # bit offsets
+    row_given = [full ^ m for m in rv]
+    start = sum((full ^ cv[c]) << 8 * p for p, c in enumerate(columns))
+    free = [[8 * p for p, c in enumerate(columns) if rc[r] >> c & 1] for r in range(n)]  # bit offsets
     states = {start: 1}
     yield states
     for done, r in enumerate(rows[:-1], 1):
@@ -214,10 +209,10 @@ def _row_layers(n: int, cells: list, rows=None) -> Iterator[dict]:
 _LAYOUT_MIN_HOLES = {6: 26, 7: 30, 8: 30}
 
 
-def _layout(n: int, cells: list) -> tuple[tuple, list]:
-    """The conjugate (an axis order for `core.conjugate`) and the row
-    order that the row program should run `cells` in, chosen by a layer
-    bound read only from where the free values are.
+def _layout(n: int, tables: list) -> tuple[tuple, list]:
+    """The conjugate (an axis order for `_conjugate`) and the row order
+    that the row program should run the grid of `tables` in, chosen by a
+    layer bound read only from where the free values are.
 
     Take the values of axis X as rows and the other two, Y < Z, as
     columns and symbols.  After the first k rows of a row order are
@@ -236,16 +231,10 @@ def _layout(n: int, cells: list) -> tuple[tuple, list]:
     That order is kept if its bound is less.  Orders chosen by the bound
     alone, free counts ignored, were two to three times as slow as rows
     fewest free first on some order-8 grids."""
-    full = (1 << n) - 1
-    free = [[[full] * n for _ in range(3)] for _ in range(3)]  # free[X][W][a]
-    for idx, v in enumerate(cells):
-        if v:
-            t = (*divmod(idx, n), v - 1)
-            for x, w in _PAIRS:
-                free[x][w][t[x]] ^= 1 << t[w]
+    free = dict(zip(_PAIRS, tables))
 
     def product(w: int, x: int, done: int) -> int:  # over the values of axis w
-        return math.prod([math.comb(m.bit_count(), (m & done).bit_count()) for m in free[w][x]])
+        return math.prod([math.comb(m.bit_count(), (m & done).bit_count()) for m in free[w, x]])
 
     def bound(x: int, rows: list) -> int:
         done = total = 0
@@ -254,7 +243,7 @@ def _layout(n: int, cells: list) -> tuple[tuple, list]:
             total += min(product(w, x, done) for w in range(3) if w != x)
         return total
 
-    fewest = [sorted(range(n), key=lambda a: free[x][y][a].bit_count()) for x, y, _ in _ROW_AXES]
+    fewest = [sorted(range(n), key=lambda a: free[x, y][a].bit_count()) for x, y, _ in _ROW_AXES]
     costs = [bound(x, fewest[x]) for x in range(3)]
     x = costs.index(min(costs))
     y = _ROW_AXES[x][1]
@@ -262,8 +251,8 @@ def _layout(n: int, cells: list) -> tuple[tuple, list]:
     rows = []
     done = 0
     while left:
-        width = free[x][y][left[0]].bit_count()
-        a = min([a for a in left if free[x][y][a].bit_count() == width],
+        width = free[x, y][left[0]].bit_count()
+        a = min([a for a in left if free[x, y][a].bit_count() == width],
                 key=lambda a: product(y, x, done | 1 << a))
         left.remove(a)
         rows.append(a)
@@ -271,31 +260,33 @@ def _layout(n: int, cells: list) -> tuple[tuple, list]:
     return _ROW_AXES[x], rows if bound(x, rows) < costs[x] else fewest[x]
 
 
-def _count_by_rows(n: int, cells: list) -> int:
-    """Number of completions of the flat row-major grid `cells` (0 =
-    empty), which must repeat no symbol in a row or column: the ways summed
-    over the states after n - 1 rows, each of which has one completion.
-    Each filled row holds every symbol once, and each mask holds its
-    column's givens, so a symbol given in the last row is in all n masks
-    and any other in n - 1.  So a column given in that row is full, and
-    each free one misses exactly one symbol: together, once each, the
-    symbols the row lacks.
+def _conjugate(tables: list, axes: tuple) -> list:
+    """The tables, shared, of the conjugate that reads every triple of the
+    grid of `tables` in the axis order `axes`: its axis i is the grid's
+    axis axes[i], so its free[X][Y] is the grid's free[axes[X]][axes[Y]]."""
+    return [tables[_PAIRS.index((axes[x], axes[y]))] for x, y in _PAIRS]
 
-    The program may run on a conjugate instead, in another row order.
-    Reading every triple's coordinates in another order maps the
-    completions of a grid one to one onto those of its conjugate, so the
-    count is the same, and no row order changes it; the forced-move rule
-    reads the three axes alike, so the conjugate of a grid at a fixed
-    point is at a fixed point too.  But the state sets, and so the time,
-    can differ several-fold.  With at least `_LAYOUT_MIN_HOLES[n]` holes
-    `_layout` chooses both by its layer bound; with fewer, choosing costs
-    more than it saves."""
+
+def _count_by_rows(n: int, tables: list) -> int:
+    """Number of completions of the grid whose six free-value tables are
+    `tables`, which must repeat no symbol in a row or column: the ways
+    summed over the states after n - 1 rows, each of which has one
+    completion.  Each filled row holds every symbol once, and each mask
+    holds its column's givens, so a symbol given in the last row is in all
+    n masks and any other in n - 1.  So a column given in that row is
+    full, and each free one misses exactly one symbol: together, once
+    each, the symbols the row lacks.
+
+    The program may run on a conjugate instead, in another row order,
+    with the same count (see the module docstring).  With at least
+    `_LAYOUT_MIN_HOLES[n]` holes `_layout` chooses both by its layer bound
+    and `_conjugate` reindexes the tables; with fewer, choosing costs more
+    than it saves."""
     rows = None
-    if cells.count(0) >= _LAYOUT_MIN_HOLES.get(n, n * n + 1):
-        axes, rows = _layout(n, cells)
-        if axes != (0, 1, 2):
-            cells = conjugate(n, cells, axes)
-    for states in _row_layers(n, cells, rows):
+    if n in _LAYOUT_MIN_HOLES and sum([m.bit_count() for m in tables[0]]) >= _LAYOUT_MIN_HOLES[n]:
+        axes, rows = _layout(n, tables)
+        tables = _conjugate(tables, axes)
+    for states in _row_layers(n, tables, rows):
         pass
     return sum(states.values())
 
@@ -329,11 +320,12 @@ def count_all(n: int) -> EnumerationResult:
     |Stab(P)| permutations of equal masks in P give distinct bottoms."""
     if not 1 <= n <= COUNT_MAX_ORDER:
         raise ValueError(f"counting supports orders 1..{COUNT_MAX_ORDER}, got {n}")
+    tables = _state(n, _reduced_border(n))[1:]
     if n < 4:  # the join needs layer 1, so n >= 2, but no merged layer k; at n = 2, 3 it is slower
-        reduced = _count_by_rows(n, _reduced_border(n))
+        reduced = _count_by_rows(n, tables)
     else:
         k = (n + 1) // 2
-        layers = list(islice(_row_layers(n, _reduced_border(n)), k + 1))
+        layers = list(islice(_row_layers(n, tables), k + 1))
         full = (1 << n) - 1
         flip = [((m ^ full) >> k | (m ^ full) << (n - k)) & full for m in range(full + 1)]
         reduced = 0

@@ -1,21 +1,22 @@
 """Completion counting and unique-completability for partial Latin squares.
 
 A partial Latin square is a set of triples (row, column, symbol) in which
-any two coordinates fix the third.  Backtracking keeps a flat row-major
-grid (0 = empty) and, for each ordered pair of axes (X, Y), a table
-`free[X][Y]` of bit masks: `free[X][Y][a]` holds the values of Y that
-are in no triple with value a of X.  The tables are named by their axes,
-r (row), c (column) and v (symbol): `rv[r]` holds the symbols missing
-from row r, `vr[v]` the rows that lack symbol v, and `rc[r]` the empty
-cells of row r.  Symbols are 0-based in the tables (symbol v at bit
-v - 1).  Every rule and the branch-cell scan read free values, so they
-take the tables as they are, with no complement.
-Only this module reads the tables.  `_set_cell` writes a cell and its
-tables; propagation inlines it.  Other modules build a state with
-`_state`, edit it with `_set_cell` by (row, column), ask it for a cell's
-free symbols with `_free_symbols` and count from it with `_count_flat`,
-and take the closures of a grid minus each of its cells from
-`_removal_closures`.
+any two coordinates fix the third.  Backtracking keeps the solver state
+of `core._state`: a flat row-major grid (0 = empty) and, for each
+ordered pair of axes (X, Y), a table `free[X][Y]` of bit masks, where
+`free[X][Y][a]` holds the values of Y that are in no triple with value a
+of X.  The tables are named by their axes, r (row), c (column) and v
+(symbol): `rv[r]` holds the symbols missing from row r, `vr[v]` the rows
+that lack symbol v, and `rc[r]` the empty cells of row r.  Symbols are
+0-based in the tables (symbol v at bit v - 1).  Every rule and the
+branch-cell scan read free values, so they take the tables as they are,
+with no complement.  `core._state` builds a state and `_set_cell` edits
+one; propagation inlines `_set_cell`.  Other modules edit a state with
+`_set_cell` by (row, column), ask it for a cell's free symbols with
+`_free_symbols` and count from it with `_count_flat`, and take the
+closures of a grid minus each of its cells from `_removal_closures`.
+The row program of `enumeration` counts from the tables, without the
+grid.
 
 Each node first closes under forced moves, which are one rule read on
 the three conjugates of the square: two values of two axes that are in
@@ -40,18 +41,19 @@ branch on copies of the state, so counts, the capped flag, and
 witnesses are deterministic.
 
 Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
-They close the root under forced moves once, count with the row dynamic
-program `enumeration._count_by_rows`, which on a grid with many holes
-runs on the conjugate and in the row order its layer bound favours, and
-take as witnesses the first two completions of the row-major filler on
-the grid as given, which are the two smallest in text order.  Capped counts and larger orders search, so the witnesses of
+They close the root under forced moves once, count from the closed
+tables with the row dynamic program `enumeration._count_by_rows`, which
+on a grid with many holes runs on the conjugate and in the row order its
+layer bound favours, and take as witnesses the first two completions of
+the row-major filler on the closed grid, which are the two smallest in
+text order.  Capped counts and larger orders search, so the witnesses of
 a capped count still depend on the search order."""
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import LatinSquare, PartialLatinSquare
+from .core import _PAIRS, LatinSquare, PartialLatinSquare, _state
 from .enumeration import ROW_COUNT_MAX_ORDER, _count_by_rows, _row_major_fills
 
 FIXED_POINT = "fixed-point"
@@ -95,9 +97,6 @@ class CompletionReport(NamedTuple):
     witnesses: tuple[LatinSquare, ...]
 
 
-# The axes of a triple are row 0, column 1 and symbol 2.  The state holds
-# the six tables free[X][Y] in the order of these pairs (X, Y).
-_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 # Per axis X, with Y < Z the other two: the positions of free[X][Y],
 # free[X][Z], free[Y][Z] and free[Z][Y] among the tables, then Y and Z.
 _AXES = tuple(
@@ -242,19 +241,6 @@ def _set_cell(n: int, state: list, r: int, c: int, v: int) -> list:
     return state
 
 
-def _state(n: int, cells) -> list:
-    """The solver state of the flat grid `cells` (0 = empty), which it
-    copies: the grid and the six tables that describe it,
-    `[cells, rc, rv, cr, cv, vr, vc]`, each value free of every other
-    until a triple joins them."""
-    full = (1 << n) - 1
-    state = [[0] * (n * n)] + [[full] * n for _ in range(6)]
-    for idx, v in enumerate(cells):
-        if v:
-            _set_cell(n, state, *divmod(idx, n), v)
-    return state
-
-
 def _removal_closures(n: int, cells) -> Iterator[list]:
     """For each filled cell of the flat grid `cells`, in row-major order,
     the solver state of the grid with that cell emptied, closed under
@@ -376,9 +362,8 @@ def _count_flat(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, list]
         return _search_count(n, state, cap, dirty)
     if not _propagate_flat(n, *state, *dirty):
         return 0, []
-    cells = state[0]
-    count = _count_by_rows(n, cells)
-    fills = _row_major_fills(n, cells)
+    count = _count_by_rows(n, state[1:])
+    fills = _row_major_fills(n, state[0])
     return count, [tuple(next(fills)) for _ in range(min(count, 2))]
 
 

@@ -11,12 +11,13 @@ from latincrit.core import (
     PartialLatinSquare,
     Triple,
     _relabel_triples,
-    conjugate,
+    _state,
     parse_partial,
     relabel,
     serialize,
 )
 from latincrit.constructions import classic_5x5, random_latin_square
+from latincrit.enumeration import _conjugate
 
 import oracle
 
@@ -188,22 +189,15 @@ def test_relabel_triples_moves_each_cell_by_the_maps():
 
 
 def test_conjugate_agrees_with_the_oracle_on_all_six_axis_orders():
+    # a conjugate's free-value tables are the grid's, reindexed
     rng = random.Random(7)
     for n in range(1, 8):
         cells = random_latin_square(n, seed=n).cells()
         for _ in range(4):
             partial = [v if rng.random() < 0.6 else 0 for v in cells]
+            tables = _state(n, partial)[1:]
             for axes in permutations(range(3)):
-                image = conjugate(n, partial, axes)
-                assert image == oracle.conjugate(n, partial, axes)
-                PartialLatinSquare.from_cells(n, image)  # still Latin
-        assert conjugate(n, cells, (0, 1, 2)) == cells
-
-
-@pytest.mark.parametrize("axes", [(0, 1, 1), (0, 1), (1, 2, 3), (0, 1, 2, 0)])
-def test_conjugate_rejects_axes_that_are_not_a_permutation(axes):
-    with pytest.raises(GridError):
-        conjugate(2, [1, 0, 0, 2], axes)
+                assert _conjugate(tables, axes) == _state(n, oracle.conjugate(n, partial, axes))[1:]
 
 
 @pytest.mark.parametrize(

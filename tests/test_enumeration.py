@@ -1,12 +1,17 @@
 import math
+import random
+from pathlib import Path
 
 import pytest
 
-from latincrit.core import PartialLatinSquare, serialize
-from latincrit.enumeration import _count_by_rows, _reduced_border, count_all, iter_reduced
-from latincrit.solver import _search_count, _state
+from latincrit.constructions import random_latin_square
+from latincrit.core import PartialLatinSquare, _state, parse_partial, serialize
+from latincrit.enumeration import _count_by_rows, _layout, _reduced_border, count_all, iter_reduced
+from latincrit.solver import _search_count, propagate
 
-from oracle import naive_count
+from oracle import conjugate, naive_count
+
+DATA = Path(__file__).parent / "data"
 
 # Derived by brute force (tests/oracle.py) over squares with first row
 # and column pinned to 1..n.
@@ -63,14 +68,14 @@ def test_row_count_matches_listing():
 def test_row_count_of_empty_grid_is_total_count():
     # every square, not just reduced ones: no use of L(n) = n!(n-1)!R(n)
     for n, expected in TOTAL_COUNTS.items():
-        assert _count_by_rows(n, [0] * n * n) == expected
+        assert _count_by_rows(n, _state(n, [0] * n * n)[1:]) == expected
 
 
 def test_count_all_join_matches_full_walk():
     # from order 4 on count_all joins two middle layers; the full walk
     # goes through every row but the last
     for n in range(1, 7):
-        assert count_all(n).reduced_count == _count_by_rows(n, _reduced_border(n))
+        assert count_all(n).reduced_count == _count_by_rows(n, _state(n, _reduced_border(n))[1:])
 
 
 def test_row_count_never_fills_the_last_row():
@@ -96,7 +101,7 @@ def test_row_count_never_fills_the_last_row():
     counts = []
     for rows in grids:
         p = PartialLatinSquare(rows)
-        counts.append(_count_by_rows(p.order, p.cells()))
+        counts.append(_count_by_rows(p.order, _state(p.order, p.cells())[1:]))
         assert counts[-1] == naive_count(p)
     assert counts[0] == counts[1] == 1 and counts[2] > 0 and counts[3] == 0
 
@@ -130,9 +135,46 @@ def test_order_7_counts():
 def test_row_program_refuses_orders_above_8():
     # a state holds one byte per column
     with pytest.raises(ValueError):
-        _count_by_rows(9, [0] * 81)
+        _count_by_rows(9, _state(9, [0] * 81)[1:])
 
 
 def test_order_must_be_positive():
     with pytest.raises(ValueError):
         count_all(0)
+
+
+# The (axes, rows) that `_layout` picks on grids closed under forced
+# moves, frozen when it still read a flat grid.  The time of an uncapped
+# count depends on the layout, not only on the count, so no choice may
+# change unseen.  complete_8_46.lsq and two of its conjugates, stored
+# beside it, with the axis order that gives each from the grid:
+COMPLETE_8_46_LAYOUTS = [
+    ("complete_8_46", (0, 1, 2), (2, 0, 1)),
+    ("complete_8_46_row_sym_col", (0, 2, 1), (1, 0, 2)),
+    ("complete_8_46_sym_row_col", (2, 0, 1), (0, 1, 2)),
+]
+# Random squares of orders 6 and 7 with `holes` cells emptied, each axis
+# chosen once per order: (n, seed, holes, axes, rows).
+SEEDED_LAYOUTS = [
+    (6, 3, 28, (0, 1, 2), [2, 1, 0, 4, 3, 5]),
+    (6, 0, 28, (1, 0, 2), [0, 3, 1, 4, 2, 5]),
+    (6, 4, 28, (2, 0, 1), [2, 4, 5, 0, 1, 3]),
+    (7, 1, 36, (0, 1, 2), [4, 6, 1, 0, 2, 3, 5]),
+    (7, 5, 36, (1, 0, 2), [0, 4, 2, 3, 5, 6, 1]),
+    (7, 0, 36, (2, 0, 1), [3, 0, 1, 5, 2, 4, 6]),
+]
+
+
+def test_layout_choices_are_frozen():
+    grid = parse_partial((DATA / "complete_8_46.lsq").read_text()).cells()
+    for name, axes, chosen in COMPLETE_8_46_LAYOUTS:
+        p = parse_partial((DATA / f"{name}.lsq").read_text())
+        assert p.cells() == conjugate(8, grid, axes)
+        closed = propagate(p)[0].cells()
+        assert _layout(8, _state(8, closed)[1:]) == (chosen, [5, 4, 6, 7, 1, 2, 3, 0])
+    for n, seed, holes, axes, rows in SEEDED_LAYOUTS:
+        cells = random_latin_square(n, seed).cells()
+        for idx in random.Random(seed).sample(range(n * n), holes):
+            cells[idx] = 0
+        closed = propagate(PartialLatinSquare.from_cells(n, cells))[0].cells()
+        assert _layout(n, _state(n, closed)[1:]) == (axes, rows)

@@ -4,7 +4,8 @@ relabeling and the six conjugates, on random partial squares of order
 <= 4; propagation against the oracle's full sweeps at orders up to 8,
 its root sweep of rows and columns against a sweep of every axis at
 orders up to 8, and under conjugation (also on a fixed seeded set of
-half-empty grids of orders 6 and 7); minimize_uc against the oracle on
+half-empty grids of orders 6 and 7); `solver._set_cell` edits against
+the one-pass table builder `core._state` at orders up to 8; minimize_uc against the oracle on
 uniquely completable partial squares of order <= 5; criticality under
 relabeling and conjugation at orders up to 6; verify_critical's removal
 checks against counts from scratch at orders up to 7 and on the order-13
@@ -32,6 +33,7 @@ from latincrit.core import (
     PartialLatinSquare,
     parse_partial,
     relabel,
+    _state,
     serialize,
 )
 from latincrit.criticality import minimize_uc, verify_critical
@@ -40,7 +42,6 @@ from latincrit.solver import (
     CONTRADICTION,
     FIXED_POINT,
     _search_count,
-    _state,
     count_completions,
     is_uniquely_completable,
     propagate,
@@ -203,12 +204,13 @@ def test_search_matches_oracle(p):
 @given(dense_subsets())
 def test_solver_count_matches_row_dynamic_program(case):
     n, cells = case
-    assert _search_count(n, _state(n, cells), None)[0] == _count_by_rows(n, cells)
+    assert _search_count(n, _state(n, cells), None)[0] == _count_by_rows(n, _state(n, cells)[1:])
 
 
-def _rows_count(n, cells, rows):
-    """The row program's count of `cells`, rows taken in the order `rows`."""
-    for states in _row_layers(n, cells, rows):
+def _rows_count(n, tables, rows):
+    """The row program's count of the grid of `tables`, rows taken in the
+    order `rows`."""
+    for states in _row_layers(n, tables, rows):
         pass
     return sum(states.values())
 
@@ -221,14 +223,15 @@ def test_row_program_counts_every_conjugate_in_every_row_order(case, axes, data)
     # `_count_by_rows` asks for at the most holes `dense_subsets` leaves)
     n, cells = case
     image = conjugate(n, cells, axes)
-    count = _count_by_rows(n, image)
+    tables = _state(n, image)[1:]
+    count = _count_by_rows(n, tables)
     assert count == _search_count(n, _state(n, cells), None)[0]
     if n <= 5:
         assert count == naive_count(_square(n, cells))
-    assert _rows_count(n, image, data.draw(st.permutations(range(n)))) == count
-    chosen, rows = _layout(n, image)
+    assert _rows_count(n, tables, data.draw(st.permutations(range(n)))) == count
+    chosen, rows = _layout(n, tables)
     assert sorted(rows) == list(range(n))
-    assert _rows_count(n, conjugate(n, image, chosen), rows) == count
+    assert _rows_count(n, _state(n, conjugate(n, image, chosen))[1:], rows) == count
 
 
 def test_layout_chooser_keeps_the_grids_own_witnesses():
@@ -241,11 +244,11 @@ def test_layout_chooser_keeps_the_grids_own_witnesses():
         cells[idx] = 0
     closed = propagate(_square(7, cells))[0].cells()
     assert closed.count(0) >= _LAYOUT_MIN_HOLES[7]
-    axes, rows = _layout(7, closed)
+    axes, rows = _layout(7, _state(7, closed)[1:])
     assert axes == (2, 0, 1)  # symbols as rows
     report = count_completions(_square(7, cells))
     count, flats = _search_count(7, _state(7, cells), None)
-    assert report.count == count == _rows_count(7, conjugate(7, closed, axes), rows)
+    assert report.count == count == _rows_count(7, _state(7, conjugate(7, closed, axes))[1:], rows)
     assert [tuple(w.cells()) for w in report.witnesses] == flats
 
 
@@ -255,7 +258,7 @@ def test_row_program_merges_only_interchangeable_columns(case):
     # columns free in the same rows still to fill are interchangeable, and
     # the row program merges states that differ by swapping them
     n, cells = case
-    count = _count_by_rows(n, cells)
+    count = _count_by_rows(n, _state(n, cells)[1:])
     assert count == _search_count(n, _state(n, cells), None)[0]
     if n <= 5:
         assert count == naive_count(_square(n, cells))
@@ -399,6 +402,29 @@ def test_propagation_matches_naive_sweeps(case, data):
         assert (FIXED_POINT if ok else CONTRADICTION) == naive_status
         if ok:
             assert _square(n, state[0]).grid == grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_partial_squares(max_order=8), st.data())
+def test_set_cell_agrees_with_the_state_builder(case, data):
+    # core._state builds the tables in one pass and solver._set_cell edits
+    # them: one write per given from the empty grid, then overwriting or
+    # clearing a filled cell, each give the tables _state builds
+    n, cells = case
+    state = _state(n, [0] * (n * n))
+    for idx, v in enumerate(cells):
+        if v:
+            solver._set_cell(n, state, *divmod(idx, n), v)
+    assert state == _state(n, cells)
+    filled = [idx for idx, v in enumerate(cells) if v]
+    if not filled:
+        return
+    idx = data.draw(st.sampled_from(filled))
+    r, c = divmod(idx, n)
+    taken = set(cells[r * n : (r + 1) * n] + cells[c::n]) - {0, cells[idx]}
+    edited = cells.copy()
+    edited[idx] = data.draw(st.sampled_from([v for v in range(n + 1) if v not in taken]))
+    assert solver._set_cell(n, state, r, c, edited[idx]) == _state(n, edited)
 
 
 @settings(max_examples=200, deadline=None)
