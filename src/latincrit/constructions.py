@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 
-from .core import MAX_ORDER, GridError, LatinSquare, PartialLatinSquare
+from .core import MAX_ORDER, GridError, LatinSquare, PartialLatinSquare, _state
 from .enumeration import _row_major_fills
 
 
@@ -60,4 +60,4 @@ def random_latin_square(n: int, seed: int = 0) -> LatinSquare:
     """
     if not 1 <= n <= MAX_ORDER:
         raise GridError(f"order {n} outside supported range 1..{MAX_ORDER}")
-    return LatinSquare.from_cells(n, next(_row_major_fills(n, [0] * (n * n), random.Random(seed))))
+    return LatinSquare.from_cells(n, next(_row_major_fills(n, _state(n, [0] * (n * n)), random.Random(seed))))

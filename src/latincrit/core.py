@@ -29,6 +29,8 @@ MAX_ORDER = 31
 # The axes of a triple are row 0, column 1 and symbol 2.  A solver state
 # holds the six tables free[X][Y] in the order of these pairs (X, Y).
 _PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+# Per axis X, the axis order that takes X as rows and the other two in order.
+_ROW_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 class GridError(ValueError):

@@ -37,7 +37,7 @@ from collections import Counter, defaultdict
 from itertools import islice, permutations
 from typing import Iterator, NamedTuple
 
-from .core import _PAIRS, LatinSquare, _state
+from .core import _PAIRS, _ROW_AXES, LatinSquare, _state
 
 # R(7) = 16,942,080 is counted in 0.28-0.47 s (best of 7; 2-vCPU Xeon, Python 3.11).
 # R(8) is out of reach: after its first four rows the state sets hold 1;
@@ -48,9 +48,6 @@ COUNT_MAX_ORDER = 7
 LIST_MAX_ORDER = 6
 # `_count_by_rows` packs a column's symbols into one byte of its state.
 ROW_COUNT_MAX_ORDER = 8
-# Per axis (row 0, column 1, symbol 2), the conjugate that takes its values
-# as rows, the other two axes in order as columns and symbols.
-_ROW_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 class EnumerationResult(NamedTuple):
@@ -59,19 +56,15 @@ class EnumerationResult(NamedTuple):
     total_count: int
 
 
-def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
-    """Complete the flat row-major grid `cells` (0 = empty) in place,
-    filling the empty cells in row-major order and trying each cell's free
-    symbols in ascending order, or in an order shuffled by `rng`.  Yields
-    that same list at every completion, so callers copy what they keep.
-    Backtracks over an explicit stack, so no order nests Python frames."""
-    full = (1 << n) - 1
-    row_used = [0] * n
-    col_used = [0] * n
-    for idx, v in enumerate(cells):
-        if v:
-            row_used[idx // n] |= 1 << (v - 1)
-            col_used[idx % n] |= 1 << (v - 1)
+def _row_major_fills(n: int, state: list, rng=None) -> Iterator[list]:
+    """Complete the grid of the solver state `state` in place, filling
+    its empty cells in row-major order and trying each one's free symbols,
+    `rv[r] & cv[c]`, ascending or in an order shuffled by `rng`.  Yields
+    the grid list at every completion, so callers copy what they keep.
+    Consumes the state: each symbol placed or taken back is XORed into
+    `rv` and `cv` only, so the other four tables go stale.  Backtracks
+    over an explicit stack, so no order nests Python frames."""
+    cells, _, rv, _, cv, _, _ = state
     free = [divmod(idx, n) for idx, v in enumerate(cells) if not v]
     if not free:
         yield cells
@@ -81,7 +74,7 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
     depth = 0
     while True:  # enter free[depth]
         r, c = free[depth]
-        cand = full & ~(row_used[r] | col_used[c])
+        cand = rv[r] & cv[c]
         bits = []
         while cand:
             bit = cand & -cand
@@ -94,8 +87,8 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
             if bits:
                 bit = bits.pop()
                 cells[r * n + c] = bit.bit_length()
-                row_used[r] |= bit
-                col_used[c] |= bit
+                rv[r] ^= bit
+                cv[c] ^= bit
                 if depth < last:
                     stack.append(bits)
                     depth += 1
@@ -110,8 +103,8 @@ def _row_major_fills(n: int, cells: list, rng=None) -> Iterator[list]:
                 r, c = free[depth]
                 bit = 1 << (cells[r * n + c] - 1)
             # take back `bit`: the completed last cell, or the one backed up to
-            row_used[r] ^= bit
-            col_used[c] ^= bit
+            rv[r] ^= bit
+            cv[c] ^= bit
 
 
 # The last free cells of a row, up to this many, are filled together from a
@@ -305,7 +298,7 @@ def iter_reduced(n: int) -> Iterator[LatinSquare]:
     1..LIST_MAX_ORDER raises here, not at the first square."""
     if not 1 <= n <= LIST_MAX_ORDER:
         raise ValueError(f"listing reduced squares supports orders 1..{LIST_MAX_ORDER}, got {n}")
-    return (LatinSquare.from_cells(n, cells) for cells in _row_major_fills(n, _reduced_border(n)))
+    return (LatinSquare.from_cells(n, cells) for cells in _row_major_fills(n, _state(n, _reduced_border(n))))
 
 
 def count_all(n: int) -> EnumerationResult:

@@ -36,9 +36,9 @@ placement that made it, since its parent was already at a fixed point.
 The rule only ever fires or fails more as triples are added, so every
 firing order reaches the same closure, and fails exactly when another
 order does.  The node then branches on a cell with the fewest
-candidates, ties broken in row-major order, symbols ascending, each
-branch on copies of the state, so counts, the capped flag, and
-witnesses are deterministic.
+candidates, ties broken in row-major order, symbols ascending, depth
+first over an explicit stack of open nodes, never nesting Python frames,
+so counts, the capped flag, and witnesses are deterministic.
 
 Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
 They close the root under forced moves once, count from the closed
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import _PAIRS, LatinSquare, PartialLatinSquare, _state
+from .core import _PAIRS, _ROW_AXES, LatinSquare, PartialLatinSquare, _state
 from .enumeration import ROW_COUNT_MAX_ORDER, _count_by_rows, _row_major_fills
 
 FIXED_POINT = "fixed-point"
@@ -101,7 +101,7 @@ class CompletionReport(NamedTuple):
 # free[X][Z], free[Y][Z] and free[Z][Y] among the tables, then Y and Z.
 _AXES = tuple(
     (_PAIRS.index((x, y)), _PAIRS.index((x, z)), _PAIRS.index((y, z)), _PAIRS.index((z, y)), y, z)
-    for x, y, z in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+    for x, y, z in _ROW_AXES)
 
 
 def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) -> bool:
@@ -293,7 +293,10 @@ def _search_count(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, lis
     is smallest among those seen.  Returns the count (saturated at cap)
     and up to two witness grids as flat tuples.  `dirty` holds the
     (rows, cols, syms) masks the root propagates from: a root sweep by
-    default, none for a state already at a fixed point."""
+    default, none for a state already at a fixed point.  One loop takes
+    the nodes from a stack of open ones, `[state, r, c, symbols left]`:
+    the top one's lowest symbol left, written into a copy of its state
+    (the state itself for its last), with only that placement dirty."""
     # Keys order like serialized text, whose separators sort below the
     # digits: symbols compare as strings, so from n = 10 on "10" < "2".
     # A cap-1 search keeps its one leaf and needs no order.
@@ -302,51 +305,52 @@ def _search_count(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, lis
         text_rank = {v: k for k, v in enumerate(sorted(range(1, n + 1), key=str))}
     best = []  # [(key, cells tuple)], at most 2, sorted
     count = 0
-
-    def search(state: list, rows, cols, syms):
-        nonlocal count
-        if not _propagate_flat(n, *state, rows, cols, syms):
-            return
-        cells, rc, rv, _, cv, _, _ = state
-        best_r = best_c = -1
-        best_cand = 0
-        best_width = n + 1
-        for r in range(n):
-            empty = rc[r]
-            while empty:
-                cbit = empty & -empty
-                empty ^= cbit
-                c = cbit.bit_length() - 1
-                cand = rv[r] & cv[c]
-                width = cand.bit_count()
-                if width < best_width:
-                    best_r, best_c, best_cand, best_width = r, c, cand, width
-                    if width == 2:  # propagation leaves no narrower cell
-                        break
-            if best_width == 2:
-                break
-        if best_r < 0:
-            count += 1
-            witness = tuple(cells)
-            key = witness if text_rank is None else tuple([text_rank[v] for v in cells])
-            if len(best) < 2:
-                best.append((key, witness))
-                best.sort()
-            elif key < best[1][0]:
-                best[1] = (key, witness)
-                best.sort()
-            return
-        cand = best_cand
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            branch = _set_cell(n, list(map(list.copy, state)), best_r, best_c, bit.bit_length())
-            # the parent is at a fixed point: only this placement is new
-            search(branch, 1 << best_r, 1 << best_c, bit)
-            if cap is not None and count >= cap:
-                return
-
-    search(state, *dirty)
+    stack = []  # open nodes, each with at least one symbol left
+    rows, cols, syms = dirty
+    while True:
+        if _propagate_flat(n, *state, rows, cols, syms):
+            cells, rc, rv, _, cv, _, _ = state
+            best_r, best_c, best_cand, best_width = -1, -1, 0, n + 1
+            for r in range(n):
+                empty = rc[r]
+                while empty:
+                    cbit = empty & -empty
+                    empty ^= cbit
+                    c = cbit.bit_length() - 1
+                    cand = rv[r] & cv[c]
+                    width = cand.bit_count()
+                    if width < best_width:
+                        best_r, best_c, best_cand, best_width = r, c, cand, width
+                        if width == 2:  # propagation leaves no narrower cell
+                            break
+                if best_width == 2:
+                    break
+            if best_r >= 0:
+                stack.append([state, best_r, best_c, best_cand])
+            else:
+                count += 1
+                witness = tuple(cells)
+                key = witness if text_rank is None else tuple([text_rank[v] for v in cells])
+                if len(best) < 2:
+                    best.append((key, witness))
+                    best.sort()
+                elif key < best[1][0]:
+                    best[1] = (key, witness)
+                    best.sort()
+                if cap is not None and count >= cap:
+                    break
+        if not stack:
+            break
+        state, r, c, cand = node = stack[-1]
+        bit = cand & -cand
+        if cand ^ bit:
+            node[3] = cand ^ bit
+            state = list(map(list.copy, state))
+        else:
+            stack.pop()
+        _set_cell(n, state, r, c, bit.bit_length())
+        # the parent is at a fixed point: only this placement is new
+        rows, cols, syms = 1 << r, 1 << c, bit
     return count, [w for _, w in best]
 
 
@@ -363,7 +367,7 @@ def _count_flat(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, list]
     if not _propagate_flat(n, *state, *dirty):
         return 0, []
     count = _count_by_rows(n, state[1:])
-    fills = _row_major_fills(n, state[0])
+    fills = _row_major_fills(n, state)
     return count, [tuple(next(fills)) for _ in range(min(count, 2))]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -221,7 +222,16 @@ def test_random_latin_square_output_is_pinned():
         assert serialize(random_latin_square(n, seed=seed)) == f"{n}\n" + "".join(r + "\n" for r in rows)
 
 
-def test_random_latin_square_31_runs_near_the_recursion_limit():
+def test_random_latin_square_digest_is_pinned():
+    # sha256 of the serialized squares of orders 1..16, seeds 0..7, frozen
+    # before the filler read the solver state
+    stream = "".join(serialize(random_latin_square(n, seed=s)) for n in range(1, 17) for s in range(8))
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "bcd246f011d6fa4d83201aea7d632e81aa22d7dd5dc7f5dfe36dd012108c1143")
+
+
+def _with_headroom(call, frames=100):
+    """call() run with only `frames` frames left below the recursion limit."""
     def stack_depth():
         frame, depth = sys._getframe(), 0
         while frame is not None:
@@ -229,12 +239,23 @@ def test_random_latin_square_31_runs_near_the_recursion_limit():
         return depth
 
     def nested(levels):
-        return nested(levels - 1) if levels else random_latin_square(31, seed=3)
+        return nested(levels - 1) if levels else call()
 
-    # leave 100 frames of headroom; a frame per cell would need 961
-    deep = nested(sys.getrecursionlimit() - 100 - stack_depth())
+    return nested(sys.getrecursionlimit() - frames - stack_depth())
+
+
+def test_random_latin_square_31_runs_near_the_recursion_limit():
+    # a frame per cell would need 961
+    deep = _with_headroom(lambda: random_latin_square(31, seed=3))
     assert deep == random_latin_square(31, seed=3)
     assert naive_is_latin(deep.grid)
+
+
+def test_search_of_the_empty_31_runs_near_the_recursion_limit():
+    # a frame per branching node needed about 790 here
+    report = _with_headroom(lambda: count_completions(PartialLatinSquare.empty(31), cap=2))
+    assert report.count == 2 and report.capped
+    assert all(naive_is_latin(w.grid) for w in report.witnesses)
 
 
 def test_random_suite_premise_small():

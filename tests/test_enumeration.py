@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -6,10 +7,17 @@ import pytest
 
 from latincrit.constructions import random_latin_square
 from latincrit.core import PartialLatinSquare, _state, parse_partial, serialize
-from latincrit.enumeration import _count_by_rows, _layout, _reduced_border, count_all, iter_reduced
+from latincrit.enumeration import (
+    _count_by_rows,
+    _layout,
+    _reduced_border,
+    _row_major_fills,
+    count_all,
+    iter_reduced,
+)
 from latincrit.solver import _search_count, propagate
 
-from oracle import conjugate, naive_count
+from oracle import conjugate, naive_completions, naive_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,6 +56,44 @@ def test_iter_reduced_lexicographic_and_duplicate_free():
         seen = [serialize(sq) for sq in iter_reduced(n)]
         assert seen == sorted(seen)
         assert len(seen) == len(set(seen))
+
+
+def test_iter_reduced_6_digest_is_pinned():
+    # sha256 of the serialized stream of all 9,408 reduced squares of
+    # order 6, frozen before the filler read the solver state
+    stream = "".join(serialize(sq) for sq in iter_reduced(6))
+    assert hashlib.sha256(stream.encode()).hexdigest() == (
+        "ce255dce90a8911bf835c3c0a09db55dd3b31a874106270456e0570359d035f5")
+
+
+def _filler_grids():
+    """Seeded partial grids of orders 1..5, each with at least one given:
+    random squares with some cells emptied, and one with no completion."""
+    for n in range(1, 6):
+        for seed in range(4):
+            cells = random_latin_square(n, seed=seed).cells()
+            rng = random.Random(100 * n + seed)
+            for idx in rng.sample(range(n * n), rng.randint(n * n // 2, min(n * n - 1, 18))):
+                cells[idx] = 0
+            yield PartialLatinSquare.from_cells(n, cells)
+    # (1, 3) needs the 3 that column 3 already holds
+    yield PartialLatinSquare([[1, 2, 0], [0, 0, 3], [0, 0, 0]])
+
+
+def test_row_major_fills_lists_completions_in_row_major_order():
+    for p in _filler_grids():
+        n = p.order
+        fills = [tuple(cells) for cells in _row_major_fills(n, _state(n, p.cells()))]
+        expected = [tuple(v for row in grid for v in row) for grid in naive_completions(p)]
+        assert fills == expected
+
+
+def test_row_major_fills_with_rng_yields_the_same_completions():
+    for k, p in enumerate(_filler_grids()):
+        n = p.order
+        fills = [tuple(cells) for cells in _row_major_fills(n, _state(n, p.cells()), random.Random(k))]
+        assert len(fills) == len(set(fills))
+        assert sorted(fills) == [tuple(v for row in grid for v in row) for grid in naive_completions(p)]
 
 
 def test_count_all_small_orders():
