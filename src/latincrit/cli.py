@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs", help="largest critical set size at one order")
     p.add_argument("n", type=int)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
+    mode.add_argument("--exhaustive", action="store_true", default=True,
+                      help="no effect, the default; kept for old command lines")
     mode.add_argument("--heuristic", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=32, help="heuristic portfolio size")

@@ -29,6 +29,7 @@ reduced squares.  A class is found as the orbit of one reduced square
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -177,20 +178,32 @@ def minimize_uc(
     return PartialLatinSquare.from_triples(n, kept)
 
 
-def _all_squares(n: int) -> list[int]:
-    """Every square of order n exactly once, as one int: int.from_bytes of
-    its row-major bytes, little-endian, so cell i is byte i.  Each reduced
-    square appears with its columns in every order and its rows below the
-    first in every order.  Orders outside 1..EXHAUSTIVE_MAX_ORDER raise."""
+def _reduced_squares(n: int) -> list[LatinSquare]:
+    """The reduced squares of order n, for exhaustive search, which
+    covers orders 1..EXHAUSTIVE_MAX_ORDER; other orders raise."""
     if not 1 <= n <= EXHAUSTIVE_MAX_ORDER:
         raise ValueError(f"exhaustive search supports orders 1..{EXHAUSTIVE_MAX_ORDER}, got {n}")
+    return list(iter_reduced(n))
+
+
+def _all_squares(reduced: list[LatinSquare]) -> list[int]:
+    """Every square of the order of `reduced`, which holds all the reduced
+    squares of that order, exactly once, as one int: int.from_bytes of its
+    row-major bytes, little-endian, so cell i is byte i.  A square is a
+    reduced square with its rows below the first in some order and its
+    symbols relabelled by the permutation its first row reads, and these
+    are unique: relabelling that row back to 1..n and sorting the rows by
+    their first entry gives the reduced square back."""
+    n = reduced[0].order
     row_orders = list(permutations(range(1, n)))
+    natural = bytes(range(1, n + 1))
+    tables = [bytes.maketrans(natural, bytes(sym)) for sym in permutations(natural)]
     squares = []
-    for reduced in iter_reduced(n):
-        for cols in permutations(range(n)):
-            rows = [bytes([row[c] for c in cols]) for row in reduced.grid]
-            squares += [int.from_bytes(rows[0] + b"".join([rows[r] for r in order]), "little")
-                        for order in row_orders]
+    for square in reduced:
+        rows = list(map(bytes, square.grid))
+        for order in row_orders:
+            flat = rows[0] + b"".join([rows[r] for r in order])
+            squares += [int.from_bytes(flat.translate(t), "little") for t in tables]
     return squares
 
 
@@ -202,17 +215,26 @@ def _minimal_trades(l: LatinSquare, squares: list) -> list[int]:
     ints: x = own ^ s is nonzero in byte i exactly where the squares
     differ at cell i, and since symbols fit in 3 bits, x | x >> 1 | x >> 2
     gathers that into bit 0 of the byte.  Minimality is decided on these
-    byte masks; only the minimal ones are packed into cell bitmasks."""
+    byte masks one size at a time, each minimal one clearing the larger
+    masks that hold it; only the minimal ones are packed into cell
+    bitmasks, through the binary digits of their bytes."""
     cells = l.cells()
     own = int.from_bytes(bytes(cells), "little")
     low = int.from_bytes(b"\1" * len(cells), "little")  # bit 0 of every byte
     diffs = {(x | x >> 1 | x >> 2) & low for x in map(own.__xor__, squares)}
     diffs.discard(0)
     spread = []
-    for d in sorted(diffs, key=int.bit_count):
-        if all(t & d != t for t in spread):
-            spread.append(d)
-    trades = [sum(1 << i for i in range(len(cells)) if d >> 8 * i & 1) for d in spread]
+    rest = sorted(diffs, key=int.bit_count)
+    while rest:
+        # the smallest left are minimal: a difference inside one would be
+        # smaller, so kept or holding a kept one, and would have cleared it
+        k = bisect_right(rest, rest[0].bit_count(), key=int.bit_count)
+        group, rest = rest[:k], rest[k:]
+        for t in group:
+            rest = [d for d in rest if t | d != d]
+        spread += group
+    digits = bytes.maketrans(b"\0\1", b"01")
+    trades = [int(d.to_bytes(len(cells), "big").translate(digits), 2) for d in spread]
     return sorted(trades, key=lambda t: (t.bit_count(), t))
 
 
@@ -257,8 +279,8 @@ def _critical_sets(
             branch ^= bit
             i = bit.bit_length() - 1
             met = meets[i]
-            if all(c & ~met for c in crit):
-                kept = [c & ~met for c in crit]
+            kept = list(map((~met).__and__, crit))
+            if all(kept):
                 kept.append(met & uncovered)
                 yield from mmcs(chosen | bit, kept, uncovered & ~met, cand)
             cand |= bit
@@ -277,7 +299,7 @@ def largest_critical_in(l: LatinSquare) -> PartialLatinSquare:
     minimal Latin trades, for the largest (order <= EXHAUSTIVE_MAX_ORDER)
     and returns one, ties broken by the smallest triple tuple.
     """
-    witness = min(_largest_critical_sets(l, _all_squares(l.order)))
+    witness = min(_largest_critical_sets(l, _all_squares(_reduced_squares(l.order))))
     return PartialLatinSquare.from_triples(l.order, witness)
 
 
@@ -339,6 +361,25 @@ def _largest_critical_sets(l: LatinSquare, squares: list, floor: int = 0) -> lis
     return sets
 
 
+def _least_image(masks: list[int], n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """The mask among `masks`, cell bitmasks (bit r*n + c) of critical
+    sets of one size in one square, whose image is the smallest triple
+    tuple when cell (r, c) moves to (rows[r], cols[c]).  In the image
+    square a cell fixes its symbol, so of two images the smaller holds
+    the first cell, in the image's row-major order, that only one of them
+    holds.  Walking the cells in that order and keeping, at each cell that
+    some remaining set holds, only those sets leaves the smallest."""
+    left = masks
+    col_order = sorted(range(n), key=cols.__getitem__)
+    for r in sorted(range(n), key=rows.__getitem__):
+        for c in col_order:
+            bit = 1 << r * n + c
+            held = [m for m in left if m & bit]
+            if held:
+                left = held
+    return left[0]
+
+
 def lcs_exhaustive(n: int) -> LcsRecord:
     """Largest critical set size over all squares of order n, exactly.
     The witness is the smallest triple tuple among the largest critical
@@ -352,25 +393,29 @@ def lcs_exhaustive(n: int) -> LcsRecord:
     onto exactly the largest sets of a class member.  Only sets of the
     global maximum size can be the witness, so the representative's
     largest sets, carried onto every other reduced member, hold it; the
-    representative's own sets need no carrying (the identity).  The size
-    found so far is the floor for the next representative, so a class
-    whose largest sets are smaller (the cyclic class at order 5: 10
-    against 11) yields none.
+    representative's own sets need no carrying (the identity), and of a
+    member's images only the smallest, found by `_least_image` before any
+    set is carried, can be.  The size found so far is the floor for the
+    next representative, so a class whose largest sets are smaller (the
+    cyclic class at order 5: 10 against 11) yields none.
     """
-    squares = _all_squares(n)
+    reduced = _reduced_squares(n)
+    squares = _all_squares(reduced)
     value = 0
     largest = []
-    for rep, members in _isotopy_classes(list(iter_reduced(n))):
+    for rep, members in _isotopy_classes(reduced):
         sets = _largest_critical_sets(rep, squares, value)
         if sets:
             value = len(sets[0])
             largest.append((rep, sets, members))
-    witness, square = min(
-        (
-            (c if member is rep else _relabel_triples(c, *iso), member)
-            for rep, sets, members in largest if len(sets[0]) == value
-            for member, iso in members for c in sets
-        ),
-        key=lambda cs: cs[0],
-    )
+    images = []
+    for rep, sets, members in largest:
+        if len(sets[0]) < value:
+            continue
+        images.append((min(sets), rep))  # the representative, its first member
+        by_mask = {sum([1 << (r - 1) * n + c - 1 for r, c, _ in s]): s for s in sets} if members[1:] else {}
+        for member, (rows, cols, sym) in members[1:]:
+            least = by_mask[_least_image(list(by_mask), n, rows, cols)]
+            images.append((_relabel_triples(least, rows, cols, sym), member))
+    witness, square = min(images, key=lambda cs: cs[0])
     return LcsRecord(n, value, square, PartialLatinSquare.from_triples(n, witness))

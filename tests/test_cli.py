@@ -179,6 +179,15 @@ def test_count_6_allow_large_has_no_effect(capsys):
     assert run(capsys, "count", "6", "--allow-large") == expected
 
 
+@pytest.mark.parametrize("command, flag", [("lcs", "--exhaustive"), ("count", "--allow-large")])
+def test_no_op_flags_say_so_in_their_help(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.split()[:1] == [flag]]
+    assert len(lines) == 1 and "no effect" in lines[0]
+
+
 def test_construct_round_trips(capsys):
     code, out, _ = run(capsys, "construct", "back-circulant", "--n", "7")
     assert code == 0

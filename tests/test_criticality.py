@@ -1,9 +1,11 @@
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from latincrit import criticality
 from latincrit.core import LatinSquare, PartialLatinSquare, Triple, _relabel_triples, parse_partial, relabel, serialize
 from latincrit.bounds import bm_upper, nelder_bound
 from latincrit.constructions import (
@@ -18,7 +20,9 @@ from latincrit.criticality import (
     _critical_sets,
     _isotopy_classes,
     _largest_critical_sets,
+    _least_image,
     _minimal_trades,
+    _reduced_squares,
     largest_critical_in,
     lcs_exhaustive,
     minimize_uc,
@@ -298,7 +302,7 @@ def test_lcs_matches_the_scan_over_every_reduced_square(n):
     # the scan lcs_exhaustive replaced: every critical set of every
     # reduced square, the largest with the smallest triple tuple as the
     # witness
-    squares = _all_squares(n)
+    squares = _all_squares(_reduced_squares(n))
     witness, square = min(
         ((c, s) for s in iter_reduced(n) for c in _critical_sets(s, squares)),
         key=lambda cs: (-len(cs[0]), cs[0]),
@@ -344,11 +348,26 @@ def test_isotopy_classes_of_reduced_squares(n, classes):
 
 
 def test_isotopisms_carry_largest_critical_sets_onto_the_members():
-    squares = _all_squares(4)
+    squares = _all_squares(_reduced_squares(4))
     for rep, members in _isotopy_classes(list(iter_reduced(4))):
         sets = _largest_critical_sets(rep, squares)
         for member, iso in members:
             assert sorted(_relabel_triples(c, *iso) for c in sets) == sorted(_largest_critical_sets(member, squares))
+
+
+def test_least_image_is_the_smallest_carried_set():
+    # the class members' isotopisms and seeded random ones, on the critical
+    # sets of every size of both order-4 representatives
+    squares = _all_squares(_reduced_squares(4))
+    rng = random.Random(5)
+    for rep, members in _isotopy_classes(_reduced_squares(4)):
+        every = list(_critical_sets(rep, squares))
+        isos = [iso for _, iso in members] + [[rng.sample(range(4), 4) for _ in range(3)] for _ in range(8)]
+        for size in set(map(len, every)):
+            by_mask = {sum(1 << (r - 1) * 4 + c - 1 for r, c, _ in s): s for s in every if len(s) == size}
+            for iso in isos:
+                least = by_mask[_least_image(list(by_mask), 4, *iso[:2])]
+                assert _relabel_triples(least, *iso) == min(_relabel_triples(c, *iso) for c in by_mask.values())
 
 
 def test_klein_square_is_not_isotopic_to_the_cyclic_square():
@@ -418,7 +437,7 @@ def test_lcs_6_lower_bound_witness_is_critical():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_critical_sets_match_subset_scan_oracle(n):
-    squares = _all_squares(n)
+    squares = _all_squares(_reduced_squares(n))
     # every square of order n, listed by the naive enumerator
     for rows in naive_completions(PartialLatinSquare.empty(n)):
         square = LatinSquare(rows)
@@ -428,7 +447,7 @@ def test_critical_sets_match_subset_scan_oracle(n):
 
 
 def test_critical_sets_order_4_verify_and_spectra():
-    squares = _all_squares(4)
+    squares = _all_squares(_reduced_squares(4))
     spectra = []
     for square in iter_reduced(4):
         found = list(_critical_sets(square, squares))
@@ -449,6 +468,42 @@ def test_critical_sets_order_4_verify_and_spectra():
     assert sorted(spectra) == [(576, [5, 6, 7]), (736, [4, 5, 6]), (736, [4, 5, 6]), (736, [4, 5, 6])]
 
 
+# MMCS search nodes, the `mmcs` generators that _critical_sets enters, of
+# _largest_critical_sets on the two order-4 class representatives at the
+# floors lcs_exhaustive gives them, 0 and then 7.  A search that lists the
+# same sets over a larger tree fails here.
+ORDER_4_MMCS_NODES = [413, 427]
+
+
+def _mmcs_nodes(run) -> int:
+    """Calls run() and returns the number of mmcs generators it entered.
+    A generator reports a call event at its start and at every resume, so
+    the frames are counted once each, and held so that none is reused."""
+    frames = []
+
+    def tracer(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "mmcs" and frame.f_code.co_filename == criticality.__file__:
+            frames.append(frame)
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return len(set(frames))
+
+
+def test_mmcs_search_effort_is_frozen():
+    squares = _all_squares(_reduced_squares(4))
+    nodes, floor = [], 0
+    for rep, _ in _isotopy_classes(_reduced_squares(4)):
+        found = []
+        nodes.append(_mmcs_nodes(lambda: found.extend(_largest_critical_sets(rep, squares, floor))))
+        floor = max([floor, *map(len, found)])
+    assert (nodes, floor) == (ORDER_4_MMCS_NODES, 7)
+
+
 def _per_cell_trades(l: LatinSquare, squares: list) -> list:
     """The minimal trades of l by the per-cell difference formula that the
     bit-parallel one replaced, sorted by (size, mask)."""
@@ -467,7 +522,7 @@ def _per_cell_trades(l: LatinSquare, squares: list) -> list:
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 12), (4, 576), (5, 161_280)])
 def test_bit_parallel_trades_match_the_per_cell_formula(n, count):
-    squares = _all_squares(n)
+    squares = _all_squares(_reduced_squares(n))
     assert len(set(squares)) == len(squares) == count
     # every square up to order 4; one at order 5, the first order where two
     # symbols (1 and 5) differ in bit 2 alone
@@ -479,7 +534,7 @@ def test_bit_parallel_trades_match_the_per_cell_formula(n, count):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_size_bound_keeps_every_set_it_may_keep(n):
-    squares = _all_squares(n)
+    squares = _all_squares(_reduced_squares(n))
     for square in iter_reduced(n):
         every = list(_critical_sets(square, squares))
         top = max(map(len, every))
