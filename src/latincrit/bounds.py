@@ -23,6 +23,11 @@ LOG_TOL = 1e-9
 # Largest n that stirling_check takes.
 STIRLING_MAX_N = 300
 
+# Largest order that bounds_table takes: it holds one row per order, and
+# log_factorial keeps a prefix sum for every order up to the last.  At this
+# order a whole table takes under 0.1 s and about 11 MiB.
+BOUNDS_MAX_N = 10_000
+
 _log_fact = [0.0]  # _log_fact[k] = ln(k!), extended on demand
 
 
@@ -148,9 +153,12 @@ def crossover() -> int:
 
 
 def bounds_table(n_from: int, n_to: int) -> list[BoundsRow]:
-    """One row per order in [n_from, n_to], all formulas evaluated."""
+    """One row per order in [n_from, n_to], all formulas evaluated;
+    n_to is at most BOUNDS_MAX_N."""
     if not 1 <= n_from <= n_to:
         raise ValueError(f"need 1 <= n_from <= n_to, got {n_from}..{n_to}")
+    if n_to > BOUNDS_MAX_N:
+        raise ValueError(f"n_to must be at most {BOUNDS_MAX_N}, got {n_to}")
     rows = []
     for n in range(n_from, n_to + 1):
         m = n.bit_length() - 1

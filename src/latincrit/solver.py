@@ -1,8 +1,8 @@
 """Completion counting and unique-completability for partial Latin squares.
 
-A partial Latin square is a set of triples (row, column, symbol) in which
-any two coordinates fix the third.  Backtracking keeps the solver state
-of `core._state`: a flat row-major grid (0 = empty) and, for each
+A partial Latin square is a set of triples (row, column, symbol) in
+which any two coordinates fix the third.  Backtracking keeps the solver
+state of `core._state`: a flat row-major grid (0 = empty) and, for each
 ordered pair of axes (X, Y), a table `free[X][Y]` of bit masks, where
 `free[X][Y][a]` holds the values of Y that are in no triple with value a
 of X.  The tables are named by their axes, r (row), c (column) and v
@@ -10,13 +10,16 @@ of X.  The tables are named by their axes, r (row), c (column) and v
 that lack symbol v, and `rc[r]` the empty cells of row r.  Symbols are
 0-based in the tables (symbol v at bit v - 1).  Every rule and the
 branch-cell scan read free values, so they take the tables as they are,
-with no complement.  `core._state` builds a state and `_set_cell` edits
-one; propagation inlines `_set_cell`.  Other modules edit a state with
-`_set_cell` by (row, column), ask it for a cell's free symbols with
-`_free_symbols` and count from it with `_count_flat`, and take the
-closures of a grid minus each of its cells from `_removal_closures`.
-The row program of `enumeration` counts from the tables, without the
-grid.
+with no complement, and read the set bits of a mask from one mapping,
+`_set_bits(n)[mask]`, an ascending tuple of indices, in place of bit
+tricks looped in Python: a table of every mask below 2^12 up to order 12,
+a map filled on demand above it.  `core._state` builds a state and
+`_set_cell` edits one; propagation and the search's branch writes inline
+it.  Other modules edit a state with `_set_cell` by (row, column), ask
+it for a cell's free symbols with `_free_symbols` and count from it with
+`_count_flat`, and take the closures of a grid minus each of its cells
+from `_removal_closures`.  The row program of `enumeration` counts from
+the tables, without the grid.
 
 Each node first closes under forced moves, which are one rule read on
 the three conjugates of the square: two values of two axes that are in
@@ -26,19 +29,21 @@ placed.  On (row, column) this is a naked single, one candidate left in
 a cell; on (row, symbol) and (column, symbol) a hidden single, one cell
 left for a symbol in a line.  Propagation keeps bit masks of dirty rows,
 columns and symbols, those in a triple placed since the last fixed
-point, and checks one dirty value at a time, all its pairs in one walk
-over its free partners on one axis.  The root starts with every row and
-column dirty and no symbol: a row's walk checks its (row, column) and
-(row, symbol) pairs and a column's its (column, row) and (column,
-symbol) pairs, so every pair a symbol's walk would check is already
-covered.  A branch starts with the row, column and symbol of the one
-placement that made it, since its parent was already at a fixed point.
-The rule only ever fires or fails more as triples are added, so every
-firing order reaches the same closure, and fails exactly when another
-order does.  The node then branches on a cell with the fewest
-candidates, ties broken in row-major order, symbols ascending, depth
-first over an explicit stack of open nodes, never nesting Python frames,
-so counts, the capped flag, and witnesses are deterministic.
+point, and takes them one axis at a time: a batch of all dirty rows,
+else all dirty columns, else all dirty symbols.  It checks each value
+of a batch in turn, all its pairs in one walk over its free partners on
+one axis.  The root starts with every row and column dirty and no
+symbol: a row's walk checks its (row, column) and (row, symbol) pairs
+and a column's its (column, row) and (column, symbol) pairs, so every
+pair a symbol's walk would check is already covered.  A branch starts
+with the row, column and symbol of the one placement that made it,
+since its parent was already at a fixed point.  The rule only ever
+fires or fails more as triples are added, so every firing order, batched
+or not, reaches the same closure, and fails exactly when another order
+does.  The node then branches on a cell with the fewest candidates, ties
+broken in row-major order, symbols ascending, depth first over an
+explicit stack of open nodes, never nesting Python frames, so counts,
+the capped flag, and witnesses are deterministic.
 
 Uncapped counts of order at most `ROW_COUNT_MAX_ORDER` do not search.
 They close the root under forced moves once, count from the closed
@@ -51,6 +56,7 @@ a capped count still depend on the search order."""
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, NamedTuple
 
 from .core import _PAIRS, _ROW_AXES, LatinSquare, PartialLatinSquare, _state
@@ -103,6 +109,41 @@ _AXES = tuple(
     (_PAIRS.index((x, y)), _PAIRS.index((x, z)), _PAIRS.index((y, z)), _PAIRS.index((z, y)), y, z)
     for x, y, z in _ROW_AXES)
 
+# The set bits of a mask, `bits[mask]`, as an ascending tuple of indices:
+# up to order _DENSE_BITS_MAX_ORDER, one table of every mask below
+# 2^_DENSE_BITS_MAX_ORDER (4,096 tuples, about 0.4 MB), built on first use;
+# above it, a map filled on demand and cleared at _SPARSE_BITS_MAX entries,
+# since a dense table there would hold 2^n.
+_DENSE_BITS_MAX_ORDER = 12
+_SPARSE_BITS_MAX = 1 << 14
+
+
+@functools.cache
+def _dense_bits() -> tuple[tuple[int, ...], ...]:
+    table = [()]
+    for k in range(_DENSE_BITS_MAX_ORDER):  # masks below 2^k, then each with bit k set
+        table += [bits + (k,) for bits in table]
+    return tuple(table)
+
+
+class _SparseBits(dict):
+    """`bits[mask]` for masks of any width, each entry built when first read."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        if len(self) >= _SPARSE_BITS_MAX:
+            self.clear()
+        bits = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return bits
+
+
+# Every entry is a function of its key alone, so one map serves every caller.
+_sparse_bits = _SparseBits()
+
+
+def _set_bits(n: int):
+    """The `bits[mask]` mapping for masks of n bits."""
+    return _dense_bits() if n <= _DENSE_BITS_MAX_ORDER else _sparse_bits
+
 
 def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) -> bool:
     """Fill forced cells in place until no rule fires, updating every
@@ -117,9 +158,11 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) 
     checking.  The default, `_ROOT_DIRTY`, is a root sweep: every row and
     column dirty, no symbol.  Every pair holds a row or a column, and a
     value's walk checks all its pairs, so the walks of the rows and
-    columns check every pair there is.  The loop takes one dirty value at
-    a time and clears it: the lowest dirty row, else column, else symbol,
-    value a on axis X, with Y < Z the other axes.  Both of a's rules read
+    columns check every pair there is.  The loop takes the dirty values
+    one axis at a time, as a batch that it clears: all dirty rows, else
+    all dirty columns, else all dirty symbols, ascending.  Each value a of
+    the batch's axis X, with Y < Z the other axes, is walked in turn, on
+    the tables as they stand when its walk starts.  Both of a's rules read
     one bipartite graph: the Y values b and the Z values z in no triple
     with a, b and z joined when in no triple together.  The free tables
     hold it as it is: `free[X][Y][a]` and `free[X][Z][a]` are its two
@@ -130,7 +173,9 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) 
     once) and `twos` (at least twice).  After the walk a z outside `ones`
     has no partner and fails, and the partners of a z outside `twos` are
     read again.  The moves are placed last, which marks their row, column
-    and symbol dirty, a's among them.
+    and symbol dirty, a's among them; values a batch dirties again, on its
+    own axis too, go into a later batch.  The set bits of every mask the
+    loop walks, the batch, the b and the z, come from `_set_bits(n)`.
 
     No table the walk reads changes before its moves are placed, and it
     tracks which values of a are still free, so the counts of the z are
@@ -144,12 +189,15 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) 
     The firing order does not change the outcome.  A move that fires on
     a grid still fires on any larger grid reached by sound moves, unless
     that grid already holds it or fails at the same pair, and a failure
-    stays a failure.  So any two orders place the same moves: both end
-    at the same fixed point, or both fail.  Where propagation fails, the
-    grid holds whatever was placed before it stopped.  The placement
-    inlines `_set_cell`: a call per forced cell costs about 8% of counting
-    time."""
+    stays a failure.  Every value in a triple placed after its last walk
+    is dirty until walked again, so the loop ends only where no rule
+    fires.  So any two orders, batched or one value at a time, place the
+    same moves: both end at the same fixed point, or both fail.  Where
+    propagation fails, the grid holds whatever was placed before it
+    stopped.  The placement inlines `_set_cell`: a call per forced cell
+    costs about 8% of counting time."""
     full = (1 << n) - 1
+    bits = _set_bits(n)
     tables = (rc, rv, cr, cv, vr, vc)
     rows &= full
     cols &= full
@@ -157,66 +205,56 @@ def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) 
     t = [0, 0, 0]  # the triple being placed, by axis
     while rows | cols | syms:
         if rows:
-            x, bit = 0, rows & -rows
-            rows ^= bit
+            x, batch, rows = 0, rows, 0
         elif cols:
-            x, bit = 1, cols & -cols
-            cols ^= bit
+            x, batch, cols = 1, cols, 0
         else:
-            x, bit = 2, syms & -syms
-            syms ^= bit
-        a = bit.bit_length() - 1
+            x, batch, syms = 2, syms, 0
         xy, xz, yz, zy, y, z = _AXES[x]
-        yfree = tables[xy][a]
-        if not yfree:  # a is in a triple with every value: skip the table reads
-            continue
-        zfree = tables[xz][a]
-        by_b = tables[yz]
-        ones = twos = 0
-        moves = []  # forced (b bit, z bit) pairs
-        rest = yfree
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            m = zfree & by_b[bit.bit_length() - 1]
-            if m & (m - 1):
-                twos |= ones & m
-                ones |= m
-            elif m:
-                yfree ^= bit
-                zfree ^= m
-                moves.append((bit, m))
-            else:
+        yfree_of, zfree_of, by_b, by_z = tables[xy], tables[xz], tables[yz], tables[zy]
+        for a in bits[batch]:
+            yfree = yfree_of[a]
+            if not yfree:  # a is in a triple with every value: skip the table reads
+                continue
+            zfree = zfree_of[a]
+            ones = twos = 0
+            moves = []  # forced (b, z) pairs
+            for b in bits[yfree]:
+                m = zfree & by_b[b]
+                if m & (m - 1):
+                    twos |= ones & m
+                    ones |= m
+                elif m:
+                    yfree ^= 1 << b
+                    zfree ^= m
+                    moves.append((b, m.bit_length() - 1))
+                else:
+                    return False
+            if zfree & ~ones:
                 return False
-        if zfree & ~ones:
-            return False
-        rest = zfree & ~twos
-        by_z = tables[zy]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            m = yfree & by_z[bit.bit_length() - 1]
-            if not m:
-                return False
-            if m & (m - 1) == 0:
-                yfree ^= m
-                moves.append((m, bit))
-        for ybit, zbit in moves:
-            t[x] = a
-            t[y] = ybit.bit_length() - 1
-            t[z] = zbit.bit_length() - 1
-            r, c, v = t
-            cells[r * n + c] = v + 1
-            rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
-            rc[r] ^= cbit
-            rv[r] ^= vbit
-            cr[c] ^= rbit
-            cv[c] ^= vbit
-            vr[v] ^= rbit
-            vc[v] ^= cbit
-            rows |= rbit
-            cols |= cbit
-            syms |= vbit
+            for zi in bits[zfree & ~twos]:
+                m = yfree & by_z[zi]
+                if not m:
+                    return False
+                if m & (m - 1) == 0:
+                    yfree ^= m
+                    moves.append((m.bit_length() - 1, zi))
+            for b, zi in moves:
+                t[x] = a
+                t[y] = b
+                t[z] = zi
+                r, c, v = t
+                cells[r * n + c] = v + 1
+                rbit, cbit, vbit = 1 << r, 1 << c, 1 << v
+                rc[r] ^= cbit
+                rv[r] ^= vbit
+                cr[c] ^= rbit
+                cv[c] ^= vbit
+                vr[v] ^= rbit
+                vc[v] ^= cbit
+                rows |= rbit
+                cols |= cbit
+                syms |= vbit
     return True
 
 
@@ -306,18 +344,16 @@ def _search_count(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, lis
     best = []  # [(key, cells tuple)], at most 2, sorted
     count = 0
     stack = []  # open nodes, each with at least one symbol left
+    bits = _set_bits(n)
     rows, cols, syms = dirty
     while True:
         if _propagate_flat(n, *state, rows, cols, syms):
             cells, rc, rv, _, cv, _, _ = state
             best_r, best_c, best_cand, best_width = -1, -1, 0, n + 1
             for r in range(n):
-                empty = rc[r]
-                while empty:
-                    cbit = empty & -empty
-                    empty ^= cbit
-                    c = cbit.bit_length() - 1
-                    cand = rv[r] & cv[c]
+                free = rv[r]
+                for c in bits[rc[r]]:
+                    cand = free & cv[c]
                     width = cand.bit_count()
                     if width < best_width:
                         best_r, best_c, best_cand, best_width = r, c, cand, width
@@ -342,15 +378,24 @@ def _search_count(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, lis
         if not stack:
             break
         state, r, c, cand = node = stack[-1]
-        bit = cand & -cand
-        if cand ^ bit:
-            node[3] = cand ^ bit
+        syms = cand & -cand
+        if cand ^ syms:
+            node[3] = cand ^ syms
             state = list(map(list.copy, state))
         else:
             stack.pop()
-        _set_cell(n, state, r, c, bit.bit_length())
-        # the parent is at a fixed point: only this placement is new
-        rows, cols, syms = 1 << r, 1 << c, bit
+        # the branch cell is empty: write its symbol as propagation places
+        # a move; the parent is at a fixed point, so only this one is new
+        cells, rc, rv, cr, cv, vr, vc = state
+        v = syms.bit_length() - 1
+        rows, cols = 1 << r, 1 << c
+        cells[r * n + c] = v + 1
+        rc[r] ^= cols
+        rv[r] ^= syms
+        cr[c] ^= rows
+        cv[c] ^= syms
+        vr[v] ^= rows
+        vc[v] ^= cols
     return count, [w for _, w in best]
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from latincrit.bounds import (
+    BOUNDS_MAX_N,
     LOG_TOL,
     bm_upper,
     bounds_table,
@@ -174,3 +175,10 @@ def test_bounds_table_rejects_bad_ranges():
         bounds_table(0, 4)
     with pytest.raises(ValueError):
         bounds_table(5, 4)
+    with pytest.raises(ValueError):
+        bounds_table(1, BOUNDS_MAX_N + 1)
+
+
+def test_bounds_table_takes_the_maximum_order():
+    (row,) = bounds_table(BOUNDS_MAX_N, BOUNDS_MAX_N)
+    assert row.order == BOUNDS_MAX_N and row.theorem1 > row.nelder

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import latincrit
+from latincrit import bounds as bounds_mod
 from latincrit import cli
 from latincrit.cli import main
 from latincrit.core import parse_partial, serialize
@@ -290,6 +291,17 @@ def test_bounds_needs_range_or_crossover(capsys):
 def test_bounds_bad_range_is_bounds_tables_error(capsys, n_from, n_to):
     expected = f"error: need 1 <= n_from <= n_to, got {n_from}..{n_to}\n"
     assert run(capsys, "bounds", n_from, n_to) == (2, "", expected)
+
+
+def test_bounds_above_the_maximum_order_exits_2_before_computing(capsys):
+    # a range past BOUNDS_MAX_N is refused before any row or ln(n!) prefix
+    # is computed, so a huge range exits 2 instead of filling memory
+    top = bounds_mod.BOUNDS_MAX_N
+    prefix = len(bounds_mod._log_fact)
+    for n_from, n_to in ((1, top + 1), (top + 1, top + 1), (1, 10**9)):
+        expected = f"error: n_to must be at most {top}, got {n_to}\n"
+        assert run(capsys, "bounds", str(n_from), str(n_to), "--csv") == (2, "", expected)
+    assert len(bounds_mod._log_fact) == prefix
 
 
 def test_check_chain(capsys):

@@ -1,8 +1,9 @@
 """Property tests: the solver and its search path against the naive
 oracle, its witnesses and propagation, and completion counts under
 relabeling and the six conjugates, on random partial squares of order
-<= 4; propagation against the oracle's full sweeps at orders up to 8,
-its root sweep of rows and columns against a sweep of every axis at
+<= 4; propagation against the oracle's full sweeps at orders up to 31
+(every branch of a cell up to order 8, one drawn branch above), its root
+sweep of rows and columns against a sweep of every axis at
 orders up to 8, and under conjugation (also on a fixed seeded set of
 half-empty grids of orders 6 and 7); `solver._set_cell` edits against
 the one-pass table builder `core._state` at orders up to 8; minimize_uc against the oracle on
@@ -18,6 +19,7 @@ oracle at orders up to 6; conjugation again
 at orders 5 to 8; the flat-cell codec of `core`; and grid text parsing
 on arbitrary input."""
 
+import functools
 import random
 from itertools import permutations
 
@@ -135,6 +137,29 @@ def half_empty_subsets(draw):
     cells = square.cells()
     holes = draw(st.integers(n * n // 2, n * n))
     for idx in draw(st.permutations(range(n * n)))[:holes]:
+        cells[idx] = 0
+    return n, cells
+
+
+@functools.cache
+def _seed_0_square(n):
+    return random_latin_square(n, seed=0).cells()
+
+
+@st.composite
+def large_subsets(draw):
+    """A square of order 9 to 31, `random_latin_square(n, 0)` with its
+    rows, columns and symbols permuted by a drawn seed, with a drawn number
+    of cells emptied.  The solver reads set bits from its dense table up to
+    order 12 and from its on-demand map above.  One base square per order,
+    since near order 30 the filler's time depends heavily on the seed:
+    `random_latin_square(30, 1)` takes about 50 s."""
+    n = draw(st.integers(9, 31))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+    base = _seed_0_square(n)
+    cells = [syms[base[rows[r] * n + cols[c]] - 1] + 1 for r in range(n) for c in range(n)]
+    for idx in rng.sample(range(n * n), draw(st.integers(0, n * n))):
         cells[idx] = 0
     return n, cells
 
@@ -369,8 +394,9 @@ def test_propagation_commutes_with_conjugation_at_orders_6_and_7():
                 assert propagate(_conjugate(p, axes)) == (_conjugate(out, axes), FIXED_POINT)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(flat_partial_squares(max_order=8), half_empty_subsets()), st.data())
+# 300 examples: about 200 of orders up to 8, as before orders 9-31 joined
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flat_partial_squares(max_order=8), half_empty_subsets(), large_subsets()), st.data())
 def test_propagation_matches_naive_sweeps(case, data):
     # forced moves reach one closure in any firing order, so checking only
     # dirty lines and symbols must agree with plain full sweeps on the
@@ -391,9 +417,10 @@ def test_propagation_matches_naive_sweeps(case, data):
     idx = data.draw(st.sampled_from([i for i, v in enumerate(fixed) if not v]))
     r, c = divmod(idx, n)
     taken = fixed[r * n : (r + 1) * n] + fixed[c::n]
-    for v in range(1, n + 1):
-        if v in taken:
-            continue
+    branches = [v for v in range(1, n + 1) if v not in taken]
+    if n > 8:  # a sweep of the oracle costs O(n^4): one drawn branch
+        branches = [data.draw(st.sampled_from(branches))]
+    for v in branches:
         branch = fixed.copy()
         branch[idx] = v
         state = solver._state(n, branch)
