@@ -154,6 +154,8 @@ def _fmt_log(v) -> str:
 
 def _cmd_bounds(args) -> int:
     if args.crossover:
+        if args.n_from is not None or args.csv:
+            raise ValueError("bounds --crossover takes no N_FROM, N_TO or --csv")
         print(bounds_mod.crossover())
         return 0
     if args.n_from is None or args.n_to is None:

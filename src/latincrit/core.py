@@ -15,7 +15,10 @@ the internal grid tuples are 0-indexed with 0 marking an empty cell.
 flat row-major list, cell (r, c) at index r * n + c.  All squares are
 immutable after construction and safe to share.  `_state` is the one
 builder of the solver state, that list and its free-value tables, which
-every exact check reads and the solver edits in place.
+every exact check reads and the solver edits in place.  `_set_bits(n)` is
+the one walk over the set bits of a mask of n bits: `bits[mask]`, an
+ascending tuple of indices, which the solver, the row-major filler and the
+row program read in place of bit tricks looped in Python.
 """
 
 from __future__ import annotations
@@ -242,6 +245,40 @@ def _relabel_triples(triples: Iterable[tuple], row_perm, col_perm, sym_perm) -> 
     plain tuples (half the cost of Triples); the maps are not checked."""
     return tuple(sorted([(row_perm[r - 1] + 1, col_perm[c - 1] + 1, sym_perm[s - 1] + 1)
                          for r, c, s in triples]))
+
+
+# The set bits of a mask, `bits[mask]`, as an ascending tuple of indices:
+# up to order _DENSE_BITS_MAX_ORDER, one list of every mask below 2^n,
+# grown by doubling to the largest order asked for (at most 4,096 tuples,
+# about 0.4 MB); above it, a map filled on demand and cleared at
+# _SPARSE_BITS_MAX entries, since a dense table there would hold 2^n.
+_DENSE_BITS_MAX_ORDER = 12
+_SPARSE_BITS_MAX = 1 << 14
+_dense_bits = [()]
+
+
+class _SparseBits(dict):
+    """`bits[mask]` for masks of any width, each entry built when first read."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        if len(self) >= _SPARSE_BITS_MAX:
+            self.clear()
+        bits = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return bits
+
+
+# Every entry is a function of its key alone, so one map serves every caller.
+_sparse_bits = _SparseBits()
+
+
+def _set_bits(n: int):
+    """The `bits[mask]` mapping for masks of n bits."""
+    if n > _DENSE_BITS_MAX_ORDER:
+        return _sparse_bits
+    while len(_dense_bits) < 1 << n:  # masks below 2^k, then each with bit k set
+        k = len(_dense_bits).bit_length() - 1
+        _dense_bits.extend([bits + (k,) for bits in _dense_bits])
+    return _dense_bits
 
 
 def _state(n: int, cells: Sequence[int]) -> list:

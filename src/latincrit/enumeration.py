@@ -19,7 +19,8 @@ orders with the same program.  Counts are exact Python integers (L(6) =
 812,851,200 exceeds 32 bits).
 
 The program reads a grid only through the six free-value tables of
-`core._state`.  On a partial grid it may run on a conjugate, in another
+`core._state`, and it and the filler walk the set bits of a mask with
+`core._set_bits`.  On a partial grid it may run on a conjugate, in another
 row order.  Permuting the three coordinates of every triple maps the
 completions of a grid one to one onto those of its conjugate, whose
 tables are the grid's in another order, and the count does not depend
@@ -37,7 +38,7 @@ from collections import Counter, defaultdict
 from itertools import islice, permutations
 from typing import Iterator, NamedTuple
 
-from .core import _PAIRS, _ROW_AXES, LatinSquare, _state
+from .core import _PAIRS, _ROW_AXES, LatinSquare, _set_bits, _state
 
 # R(7) = 16,942,080 is counted in 0.28-0.47 s (best of 7; 2-vCPU Xeon, Python 3.11).
 # R(8) is out of reach: after its first four rows the state sets hold 1;
@@ -65,32 +66,29 @@ def _row_major_fills(n: int, state: list, rng=None) -> Iterator[list]:
     `rv` and `cv` only, so the other four tables go stale.  Backtracks
     over an explicit stack, so no order nests Python frames."""
     cells, _, rv, _, cv, _, _ = state
+    bits = _set_bits(n)
     free = [divmod(idx, n) for idx, v in enumerate(cells) if not v]
     if not free:
         yield cells
         return
     last = len(free) - 1
-    stack = []  # stack[d]: the symbols still to try at free[d], for d < depth
+    stack = []  # stack[d]: the symbols (0-based) still to try at free[d], for d < depth
     depth = 0
     while True:  # enter free[depth]
         r, c = free[depth]
-        cand = rv[r] & cv[c]
-        bits = []
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            bits.append(bit)
+        left = list(bits[rv[r] & cv[c]])
         if rng is not None:
-            rng.shuffle(bits)
-        bits.reverse()  # pop() takes them in order
+            rng.shuffle(left)
+        left.reverse()  # pop() takes them in order
         while True:  # try the next symbol at free[depth], or back up
-            if bits:
-                bit = bits.pop()
-                cells[r * n + c] = bit.bit_length()
+            if left:
+                v = left.pop()
+                cells[r * n + c] = v + 1
+                bit = 1 << v
                 rv[r] ^= bit
                 cv[c] ^= bit
                 if depth < last:
-                    stack.append(bits)
+                    stack.append(left)
                     depth += 1
                     break
                 yield cells
@@ -98,7 +96,7 @@ def _row_major_fills(n: int, state: list, rng=None) -> Iterator[list]:
                 cells[r * n + c] = 0
                 if not depth:
                     return
-                bits = stack.pop()
+                left = stack.pop()
                 depth -= 1
                 r, c = free[depth]
                 bit = 1 << (cells[r * n + c] - 1)
@@ -140,6 +138,7 @@ def _row_layers(n: int, tables: list, rows=None) -> Iterator[dict]:
         raise ValueError(f"the row program packs a column into one byte: orders 1..{ROW_COUNT_MAX_ORDER}, "
                          f"got {n}")
     full = (1 << n) - 1
+    bits = _set_bits(n)
     rc, rv, cr, cv = tables[:4]
     if rows is None:
         rows = sorted(range(n), key=lambda r: rc[r].bit_count())
@@ -160,16 +159,13 @@ def _row_layers(n: int, tables: list, rows=None) -> Iterator[dict]:
             for shift in head:
                 grown = []
                 for used, cols in partial:
-                    cand = full & ~(used | cols >> shift)
-                    while cand:
-                        bit = cand & -cand
-                        cand ^= bit
-                        grown.append((used | bit, cols | bit << shift))
+                    for k in bits[full & ~(used | cols >> shift)]:
+                        grown.append((used | 1 << k, cols | 1 << (k + shift)))
                 partial = grown
             for used, cols in partial:
                 fits = placements.get(used)
                 if fits is None:
-                    rest = [1 << k for k in range(n) if not used >> k & 1]
+                    rest = [1 << k for k in bits[full ^ used]]
                     fits = placements[used] = [
                         sum(bit << shift for bit, shift in zip(order, tail)) for order in permutations(rest)
                     ]

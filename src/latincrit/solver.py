@@ -10,13 +10,11 @@ of X.  The tables are named by their axes, r (row), c (column) and v
 that lack symbol v, and `rc[r]` the empty cells of row r.  Symbols are
 0-based in the tables (symbol v at bit v - 1).  Every rule and the
 branch-cell scan read free values, so they take the tables as they are,
-with no complement, and read the set bits of a mask from one mapping,
-`_set_bits(n)[mask]`, an ascending tuple of indices, in place of bit
-tricks looped in Python: a table of every mask below 2^12 up to order 12,
-a map filled on demand above it.  `core._state` builds a state and
-`_set_cell` edits one; propagation and the search's branch writes inline
-it.  Other modules edit a state with `_set_cell` by (row, column), ask
-it for a cell's free symbols with `_free_symbols` and count from it with
+with no complement, and read the set bits of a mask from
+`core._set_bits`.  `core._state` builds a state and `_set_cell` edits
+one; propagation and the search's branch writes inline it.  Other
+modules edit a state with `_set_cell` by (row, column), ask it for a
+cell's free symbols with `_free_symbols` and count from it with
 `_count_flat`, and take the closures of a grid minus each of its cells
 from `_removal_closures`.  The row program of `enumeration` counts from
 the tables, without the grid.
@@ -56,10 +54,9 @@ a capped count still depend on the search order."""
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, NamedTuple
 
-from .core import _PAIRS, _ROW_AXES, LatinSquare, PartialLatinSquare, _state
+from .core import _PAIRS, _ROW_AXES, LatinSquare, PartialLatinSquare, _set_bits, _state
 from .enumeration import ROW_COUNT_MAX_ORDER, _count_by_rows, _row_major_fills
 
 FIXED_POINT = "fixed-point"
@@ -108,42 +105,6 @@ class CompletionReport(NamedTuple):
 _AXES = tuple(
     (_PAIRS.index((x, y)), _PAIRS.index((x, z)), _PAIRS.index((y, z)), _PAIRS.index((z, y)), y, z)
     for x, y, z in _ROW_AXES)
-
-# The set bits of a mask, `bits[mask]`, as an ascending tuple of indices:
-# up to order _DENSE_BITS_MAX_ORDER, one table of every mask below
-# 2^_DENSE_BITS_MAX_ORDER (4,096 tuples, about 0.4 MB), built on first use;
-# above it, a map filled on demand and cleared at _SPARSE_BITS_MAX entries,
-# since a dense table there would hold 2^n.
-_DENSE_BITS_MAX_ORDER = 12
-_SPARSE_BITS_MAX = 1 << 14
-
-
-@functools.cache
-def _dense_bits() -> tuple[tuple[int, ...], ...]:
-    table = [()]
-    for k in range(_DENSE_BITS_MAX_ORDER):  # masks below 2^k, then each with bit k set
-        table += [bits + (k,) for bits in table]
-    return tuple(table)
-
-
-class _SparseBits(dict):
-    """`bits[mask]` for masks of any width, each entry built when first read."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        if len(self) >= _SPARSE_BITS_MAX:
-            self.clear()
-        bits = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        return bits
-
-
-# Every entry is a function of its key alone, so one map serves every caller.
-_sparse_bits = _SparseBits()
-
-
-def _set_bits(n: int):
-    """The `bits[mask]` mapping for masks of n bits."""
-    return _dense_bits() if n <= _DENSE_BITS_MAX_ORDER else _sparse_bits
-
 
 def _propagate_flat(n, cells, rc, rv, cr, cv, vr, vc, rows=-1, cols=-1, syms=0) -> bool:
     """Fill forced cells in place until no rule fires, updating every
@@ -321,8 +282,7 @@ def _removal_closures(n: int, cells) -> Iterator[list]:
 def _free_symbols(n: int, state: list, r: int, c: int) -> list[int]:
     """The symbols, ascending, in no triple with 0-based row r or column c
     of a solver state; a filled cell's own symbol is not free."""
-    free = state[2][r] & state[4][c]  # rv[r] & cv[c]
-    return [v + 1 for v in range(n) if free >> v & 1]
+    return [v + 1 for v in _set_bits(n)[state[2][r] & state[4][c]]]  # rv[r] & cv[c]
 
 
 def _search_count(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, list]:

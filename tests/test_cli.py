@@ -281,6 +281,13 @@ def test_bounds_1_3_whole_output(capsys, argv, expected):
     assert run(capsys, "bounds", "1", "3", *argv) == (0, expected, "")
 
 
+@pytest.mark.parametrize("argv", [("2", "10", "--crossover"), ("--crossover", "--csv"), ("5", "--crossover")])
+def test_bounds_crossover_refuses_other_arguments(capsys, argv):
+    # --crossover prints one number, so a range or --csv beside it is an error
+    expected = "error: bounds --crossover takes no N_FROM, N_TO or --csv\n"
+    assert run(capsys, "bounds", *argv) == (2, "", expected)
+
+
 def test_bounds_needs_range_or_crossover(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 2

@@ -1,10 +1,15 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 import latincrit
+from latincrit import core
 from latincrit.core import (
     GridError,
     LatinSquare,
@@ -198,6 +203,54 @@ def test_conjugate_agrees_with_the_oracle_on_all_six_axis_orders():
             tables = _state(n, partial)[1:]
             for axes in permutations(range(3)):
                 assert _conjugate(tables, axes) == _state(n, oracle.conjugate(n, partial, axes))[1:]
+
+
+def _bits_of(mask):
+    return tuple(i for i, digit in enumerate(reversed(f"{mask:b}")) if digit == "1")
+
+
+def test_set_bits_lists_each_mask_ascending():
+    # up to order 12 one dense list, which order 12 grows to every mask below
+    # 2^12; above it one map of masks up to 31 bits, filled on demand and
+    # cleared at its limit
+    dense = core._set_bits(12)
+    assert core._set_bits(1) is dense and len(dense) == 1 << 12
+    assert all(dense[mask] == _bits_of(mask) for mask in range(1 << 12))
+    sparse = core._set_bits(13)
+    assert core._set_bits(31) is sparse is not dense
+    rng = random.Random(0)
+    for mask in [0, 1, 1 << 12, 1 << 30, (1 << 31) - 1] + [rng.getrandbits(rng.randint(1, 31)) for _ in range(2000)]:
+        assert sparse[mask] == _bits_of(mask)
+    bits = core._SparseBits()
+    for mask in range(2 * core._SPARSE_BITS_MAX + 1):
+        assert bits[mask] == _bits_of(mask)
+        assert len(bits) <= core._SPARSE_BITS_MAX
+
+
+def test_dense_set_bits_grow_only_to_the_largest_order_used():
+    # a fresh process: importing holds mask 0's entry only, R(7) reads
+    # masks of 7 bits only, and a count at order 12 grows the list to its limit
+    src = str(Path(latincrit.__file__).resolve().parents[1])
+    probe = (
+        "from latincrit import core\n"
+        "from latincrit.enumeration import count_all\n"
+        "from latincrit.solver import count_completions\n"
+        "sizes = [len(core._dense_bits)]\n"
+        "count_all(7)\n"
+        "sizes.append(len(core._dense_bits))\n"
+        "count_completions(core.PartialLatinSquare.empty(12), cap=2)\n"
+        "sizes.append(len(core._dense_bits))\n"
+        "print(*sizes)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert out.stdout.split() == ["1", "128", "4096"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from latincrit.enumeration import (
     _count_by_rows,
     _layout,
     _reduced_border,
+    _row_layers,
     _row_major_fills,
     count_all,
     iter_reduced,
@@ -122,6 +124,42 @@ def test_count_all_join_matches_full_walk():
     # goes through every row but the last
     for n in range(1, 7):
         assert count_all(n).reduced_count == _count_by_rows(n, _state(n, _reduced_border(n))[1:])
+
+
+# Layer sizes of the row program, measured with the group sort in place.
+# The count of a partial grid does not depend on merging (only count_all's
+# join of sorted states does), so these are the one check that the states
+# a column swap relates are merged there.  On the reduced border columns
+# 2..n form one group; this order-7 partial grid, 11 cells of
+# random_latin_square(7, 2), also has groups of two columns.
+PARTIAL_7 = [
+    [0, 0, 4, 1, 0, 0, 0],
+    [0, 0, 0, 0, 4, 0, 0],
+    [0, 0, 0, 0, 0, 4, 5],
+    [1, 0, 0, 0, 0, 0, 0],
+    [5, 6, 0, 2, 0, 0, 0],
+    [2, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 6, 0, 0, 0],
+]
+MERGED_LAYER_SIZES = [
+    (_reduced_border(4), [1, 1, 3, 4]),
+    (_reduced_border(5), [1, 1, 10, 10, 8]),
+    (_reduced_border(6), [1, 1, 46, 148, 46, 30]),
+    (_reduced_border(7), [1, 1, 252, 3152, 3152, 252, 94]),
+    (PartialLatinSquare(PARTIAL_7).cells(), [1, 6, 220, 1272, 1128, 295, 46]),
+]
+
+
+@pytest.mark.parametrize("cells, sizes", MERGED_LAYER_SIZES,
+                         ids=["border-4", "border-5", "border-6", "border-7", "partial-7"])
+def test_row_program_merges_its_layers(cells, sizes):
+    n = len(sizes)
+    assert [len(layer) for layer in _row_layers(n, _state(n, cells)[1:])] == sizes
+
+
+def test_row_program_merges_the_first_layers_at_order_8():
+    tables = _state(8, _reduced_border(8))[1:]
+    assert [len(layer) for layer in islice(_row_layers(8, tables), 3)] == [1, 1, 1642]
 
 
 def test_row_count_never_fills_the_last_row():

@@ -116,27 +116,6 @@ def test_propagate_stale_count_of_two_reaches_closure():
     assert state[0][:4] == [1, 2, 4, 3]
 
 
-def _bits_of(mask):
-    return tuple(i for i, digit in enumerate(reversed(f"{mask:b}")) if digit == "1")
-
-
-def test_set_bits_lists_each_mask_ascending():
-    # up to order 12 one dense table of every mask below 2^12; above it one
-    # map of masks up to 31 bits, filled on demand and cleared at its limit
-    dense = solver._set_bits(12)
-    assert solver._set_bits(1) is dense and len(dense) == 1 << 12
-    assert all(dense[mask] == _bits_of(mask) for mask in range(1 << 12))
-    sparse = solver._set_bits(13)
-    assert solver._set_bits(31) is sparse is not dense
-    rng = random.Random(0)
-    for mask in [0, 1, 1 << 12, 1 << 30, (1 << 31) - 1] + [rng.getrandbits(rng.randint(1, 31)) for _ in range(2000)]:
-        assert sparse[mask] == _bits_of(mask)
-    bits = solver._SparseBits()
-    for mask in range(2 * solver._SPARSE_BITS_MAX + 1):
-        assert bits[mask] == _bits_of(mask)
-        assert len(bits) <= solver._SPARSE_BITS_MAX
-
-
 def test_count_empty_order_3():
     assert count_completions(PartialLatinSquare.empty(3)).count == 12
 
