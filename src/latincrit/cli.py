@@ -101,6 +101,10 @@ def _cmd_lcs(args) -> int:
 
 def _cmd_construct(args) -> int:
     which = args.what
+    takes = {"classic-5x5": None, "minus-first-rc": "--in"}.get(which, "--n")
+    for option, value in (("--n", args.n), ("--in", args.infile)):
+        if value is not None and option != takes:
+            raise ValueError(f"construct {which} takes no {option}")
     if which == "back-circulant":
         if args.n is None:
             raise GridError("back-circulant needs --n")

@@ -14,14 +14,15 @@ exactly the minimal transversals of that trade hypergraph (Keedwell
 2004).  Listing every square of order n gives the trades directly; with
 each square packed into one integer, a byte per cell, a few integer
 operations give the cells where two squares differ.  MMCS (Murakami &
-Uno 2014) lists the transversals without calling the solver.  For lcs
-it is a branch-and-bound: a branch with chosen cells C can add at most
-min(a, u) more cells, where a counts the candidate cells that meet an
-uncovered trade and u the uncovered trades, so it is dropped when
-|C| + min(a, u) is below the largest size found so far.  Isotopisms
-(row, column and symbol permutations) carry critical sets to critical
-sets of the same size, so exhaustive lcs searches one square per
-isotopy class: 2 classes at order 4 and at order 5, out of 4 and 56
+Uno 2014) lists the transversals without calling the solver.  It reads
+only the trades and lists cell bitmasks, so trades from any source plug
+in.  For lcs it is a branch-and-bound: a branch with chosen cells C can
+add at most min(a, u) more cells, where a counts the candidate cells
+that meet an uncovered trade and u the uncovered trades, so it is
+dropped when |C| + min(a, u) is below the largest size found so far.
+Isotopisms (row, column and symbol permutations) carry critical sets to
+critical sets of the same size, so exhaustive lcs searches one square
+per isotopy class: 2 classes at order 4 and at order 5, out of 4 and 56
 reduced squares.  A class is found as the orbit of one reduced square
 (McKay, Meynert & Myrvold 2007), with no pairwise search.
 """
@@ -238,18 +239,17 @@ def _minimal_trades(l: LatinSquare, squares: list) -> list[int]:
     return sorted(trades, key=lambda t: (t.bit_count(), t))
 
 
-def _critical_sets(
-    l: LatinSquare, squares: list, best: Sequence[int] = (0,)
-) -> Iterator[tuple[Triple, ...]]:
-    """Critical sets of l as row-major triples: the minimal transversals
-    of l's minimal trades, listed by MMCS.
+def _critical_sets(trades: Sequence[int], n2: int, best: Sequence[int] = (0,)) -> Iterator[int]:
+    """The minimal transversals of the hypergraph on vertices 0..n2-1
+    whose edges are the bitmasks `trades`, listed by MMCS as vertex
+    bitmasks.  With the minimal trades of a square as edges and its cells
+    as vertices (bit r*n + c), these are its critical sets.  Only the
+    masks are read, so trades from any source plug in.
 
     best[0] is a size floor that the caller may raise between yields:
     only sets at least that large are listed, and branches that cannot
     reach it are pruned by the bound of the module docstring, which holds
     because each added cell needs its own private trade, uncovered now."""
-    trades = _minimal_trades(l, squares)
-    n2 = l.order ** 2
     meets = [sum(1 << k for k, t in enumerate(trades) if t >> i & 1) for i in range(n2)]
 
     def mmcs(chosen: int, crit: list, uncovered: int, cand: int) -> Iterator[int]:
@@ -285,22 +285,24 @@ def _critical_sets(
                 yield from mmcs(chosen | bit, kept, uncovered & ~met, cand)
             cand |= bit
 
-    triples = l.triples()
-    for mask in mmcs(0, [], (1 << len(trades)) - 1, (1 << n2) - 1):
-        # from a list: tuple() of a generator resizes, so freed tuples of
-        # each size pile up unused in the interpreter's free lists
-        yield tuple([t for i, t in enumerate(triples) if mask >> i & 1])
+    return mmcs(0, [], (1 << len(trades)) - 1, (1 << n2) - 1)
+
+
+def _set_triples(l: LatinSquare, mask: int) -> tuple[Triple, ...]:
+    """The triples of l in a cell bitmask (bit r*n + c), row-major."""
+    return tuple(t for i, t in enumerate(l.triples()) if mask >> i & 1)
 
 
 def largest_critical_in(l: LatinSquare) -> PartialLatinSquare:
     """Largest critical set inside one square, exactly.
 
-    Searches the critical sets of l, the minimal transversals of its
-    minimal Latin trades, for the largest (order <= EXHAUSTIVE_MAX_ORDER)
-    and returns one, ties broken by the smallest triple tuple.
+    Lists l's largest critical sets as cell bitmasks, the minimal
+    transversals of its minimal trades (order <= EXHAUSTIVE_MAX_ORDER),
+    and returns as triples the one whose triple tuple is smallest.
     """
-    witness = min(_largest_critical_sets(l, _all_squares(_reduced_squares(l.order))))
-    return PartialLatinSquare.from_triples(l.order, witness)
+    n = l.order
+    sets = _largest_critical_sets(_minimal_trades(l, _all_squares(_reduced_squares(n))), n * n)
+    return PartialLatinSquare.from_triples(n, _set_triples(l, _least_image(sets, n, range(n), range(n))))
 
 
 def _isotopy_classes(squares: list) -> list:
@@ -346,17 +348,16 @@ def _isotopy_classes(squares: list) -> list:
     return classes
 
 
-def _largest_critical_sets(l: LatinSquare, squares: list, floor: int = 0) -> list:
-    """The critical sets of l of the largest size, in MMCS order, or none
-    when that size is below floor.  The search is a branch-and-bound: the
-    largest size found so far, or floor if larger, prunes every branch
-    that cannot reach it."""
+def _largest_critical_sets(trades: Sequence[int], n2: int, floor: int = 0) -> list[int]:
+    """The largest minimal transversals of `trades` as `_critical_sets`
+    lists them, in MMCS order, or none when their size is below floor.
+    The search is a branch-and-bound: the largest size found so far, or
+    floor if larger, prunes every branch that cannot reach it."""
     best = [floor]
     sets = []
-    for c in _critical_sets(l, squares, best):
-        if len(c) > best[0]:
-            best[0] = len(c)
-            sets.clear()
+    for c in _critical_sets(trades, n2, best):
+        if c.bit_count() > best[0]:
+            best[0], sets = c.bit_count(), []
         sets.append(c)
     return sets
 
@@ -364,7 +365,8 @@ def _largest_critical_sets(l: LatinSquare, squares: list, floor: int = 0) -> lis
 def _least_image(masks: list[int], n: int, rows: Sequence[int], cols: Sequence[int]) -> int:
     """The mask among `masks`, cell bitmasks (bit r*n + c) of critical
     sets of one size in one square, whose image is the smallest triple
-    tuple when cell (r, c) moves to (rows[r], cols[c]).  In the image
+    tuple when cell (r, c) moves to (rows[r], cols[c]); under the
+    identity, the one whose own triple tuple is smallest.  In the image
     square a cell fixes its symbol, so of two images the smaller holds
     the first cell, in the image's row-major order, that only one of them
     holds.  Walking the cells in that order and keeping, at each cell that
@@ -390,32 +392,25 @@ def lcs_exhaustive(n: int) -> LcsRecord:
     sets of two squares, so the trade hypergraph of one representative
     per isotopy class suffices.  The representative's autotopisms permute
     its own critical sets, so any single isotopism maps its largest sets
-    onto exactly the largest sets of a class member.  Only sets of the
-    global maximum size can be the witness, so the representative's
-    largest sets, carried onto every other reduced member, hold it; the
-    representative's own sets need no carrying (the identity), and of a
-    member's images only the smallest, found by `_least_image` before any
-    set is carried, can be.  The size found so far is the floor for the
-    next representative, so a class whose largest sets are smaller (the
-    cyclic class at order 5: 10 against 11) yields none.
+    onto exactly the largest sets of a class member.  Each class is
+    searched with the size found so far as its floor, so a class whose
+    largest sets are smaller (the cyclic class at order 5: 10 against 11)
+    yields none, and a larger size drops the images kept before.  Each
+    member, the representative first (the identity), keeps the one image
+    that can be the witness, its smallest, found by `_least_image` on the
+    masks; only that set is made into triples.
     """
     reduced = _reduced_squares(n)
     squares = _all_squares(reduced)
-    value = 0
-    largest = []
+    value, images = 0, []
     for rep, members in _isotopy_classes(reduced):
-        sets = _largest_critical_sets(rep, squares, value)
-        if sets:
-            value = len(sets[0])
-            largest.append((rep, sets, members))
-    images = []
-    for rep, sets, members in largest:
-        if len(sets[0]) < value:
+        sets = _largest_critical_sets(_minimal_trades(rep, squares), n * n, value)
+        if not sets:
             continue
-        images.append((min(sets), rep))  # the representative, its first member
-        by_mask = {sum([1 << (r - 1) * n + c - 1 for r, c, _ in s]): s for s in sets} if members[1:] else {}
-        for member, (rows, cols, sym) in members[1:]:
-            least = by_mask[_least_image(list(by_mask), n, rows, cols)]
+        if sets[0].bit_count() > value:
+            value, images = sets[0].bit_count(), []
+        for member, (rows, cols, sym) in members:
+            least = _set_triples(rep, _least_image(sets, n, rows, cols))
             images.append((_relabel_triples(least, rows, cols, sym), member))
     witness, square = min(images, key=lambda cs: cs[0])
     return LcsRecord(n, value, square, PartialLatinSquare.from_triples(n, witness))

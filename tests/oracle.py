@@ -133,3 +133,16 @@ def naive_critical_sets(square):
         for mask in range(1 << len(cells))
         if uc[mask] and not any(uc[mask ^ 1 << k] for k in range(len(cells)) if mask >> k & 1)
     }
+
+
+def naive_minimal_transversals(edges, n_vertices):
+    """Every minimal transversal of the hypergraph on vertices
+    0..n_vertices-1 whose edges are the vertex bitmasks `edges`, as a set
+    of bitmasks: the vertex sets that meet every edge and none of whose
+    one-smaller subsets does.  Scans all 2^n_vertices subsets."""
+    meets_all = [all(mask & e for e in edges) for mask in range(1 << n_vertices)]
+    return {
+        mask
+        for mask in range(1 << n_vertices)
+        if meets_all[mask] and not any(meets_all[mask ^ 1 << k] for k in range(n_vertices) if mask >> k & 1)
+    }

@@ -222,6 +222,25 @@ def test_construct_missing_argument_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "which, argv, refused",
+    [
+        ("classic-5x5", ("--n", "9"), "--n"),
+        ("minus-first-rc", ("--n", "5", "--in", "GRID"), "--n"),
+        ("back-circulant", ("--n", "5", "--in", "GRID"), "--in"),
+        ("nelder-triangle", ("--n", "5", "--in", "GRID"), "--in"),
+        ("classic-5x5", ("--in", "GRID"), "--in"),
+    ],
+)
+def test_construct_refuses_an_option_it_does_not_take(tmp_path, capsys, which, argv, refused):
+    # each construction reads --n, --in or neither; the other is an error,
+    # refused before the input file is read
+    path = write_grid(tmp_path, "bc5.lsq", back_circulant(5))
+    argv = [path if a == "GRID" else a for a in argv]
+    expected = f"error: construct {which} takes no {refused}\n"
+    assert run(capsys, "construct", which, *argv) == (2, "", expected)
+
+
 def test_count_outputs(capsys):
     code, out, _ = run(capsys, "count", "5")
     assert code == 0

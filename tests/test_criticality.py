@@ -23,6 +23,7 @@ from latincrit.criticality import (
     _least_image,
     _minimal_trades,
     _reduced_squares,
+    _set_triples,
     largest_critical_in,
     lcs_exhaustive,
     minimize_uc,
@@ -32,7 +33,7 @@ from latincrit.enumeration import iter_reduced
 from latincrit.cli import main
 from latincrit.solver import NotUniqueError, count_completions, is_uniquely_completable, unique_completion
 
-from oracle import naive_completions, naive_critical_sets
+from oracle import naive_completions, naive_critical_sets, naive_minimal_transversals
 
 
 def test_classic_5x5_is_critical():
@@ -297,6 +298,19 @@ def test_lcs_4_and_its_extremal_square():
     assert res.size == 7 and res == rec.witness_set
 
 
+def _critical_triples(square: LatinSquare, squares: list, *best) -> list:
+    """_critical_sets over the minimal trades of square, each set as its
+    row-major triples."""
+    trades = _minimal_trades(square, squares)
+    return [_set_triples(square, c) for c in _critical_sets(trades, square.order ** 2, *best)]
+
+
+def _largest_triples(square: LatinSquare, squares: list, floor: int = 0) -> list:
+    """_largest_critical_sets over the minimal trades of square, as triples."""
+    trades = _minimal_trades(square, squares)
+    return [_set_triples(square, c) for c in _largest_critical_sets(trades, square.order ** 2, floor)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lcs_matches_the_scan_over_every_reduced_square(n):
     # the scan lcs_exhaustive replaced: every critical set of every
@@ -304,7 +318,7 @@ def test_lcs_matches_the_scan_over_every_reduced_square(n):
     # witness
     squares = _all_squares(_reduced_squares(n))
     witness, square = min(
-        ((c, s) for s in iter_reduced(n) for c in _critical_sets(s, squares)),
+        ((c, s) for s in iter_reduced(n) for c in _critical_triples(s, squares)),
         key=lambda cs: (-len(cs[0]), cs[0]),
     )
     rec = lcs_exhaustive(n)
@@ -350,9 +364,9 @@ def test_isotopy_classes_of_reduced_squares(n, classes):
 def test_isotopisms_carry_largest_critical_sets_onto_the_members():
     squares = _all_squares(_reduced_squares(4))
     for rep, members in _isotopy_classes(list(iter_reduced(4))):
-        sets = _largest_critical_sets(rep, squares)
+        sets = _largest_triples(rep, squares)
         for member, iso in members:
-            assert sorted(_relabel_triples(c, *iso) for c in sets) == sorted(_largest_critical_sets(member, squares))
+            assert sorted(_relabel_triples(c, *iso) for c in sets) == sorted(_largest_triples(member, squares))
 
 
 def test_least_image_is_the_smallest_carried_set():
@@ -361,13 +375,37 @@ def test_least_image_is_the_smallest_carried_set():
     squares = _all_squares(_reduced_squares(4))
     rng = random.Random(5)
     for rep, members in _isotopy_classes(_reduced_squares(4)):
-        every = list(_critical_sets(rep, squares))
+        every = list(_critical_sets(_minimal_trades(rep, squares), 16))
         isos = [iso for _, iso in members] + [[rng.sample(range(4), 4) for _ in range(3)] for _ in range(8)]
-        for size in set(map(len, every)):
-            by_mask = {sum(1 << (r - 1) * 4 + c - 1 for r, c, _ in s): s for s in every if len(s) == size}
+        for size in set(map(int.bit_count, every)):
+            masks = [c for c in every if c.bit_count() == size]
             for iso in isos:
-                least = by_mask[_least_image(list(by_mask), 4, *iso[:2])]
-                assert _relabel_triples(least, *iso) == min(_relabel_triples(c, *iso) for c in by_mask.values())
+                least = _set_triples(rep, _least_image(masks, 4, *iso[:2]))
+                assert _relabel_triples(least, *iso) == min(_relabel_triples(_set_triples(rep, c), *iso) for c in masks)
+
+
+def test_lcs_drops_the_images_of_a_smaller_earlier_class(monkeypatch):
+    # at orders 1-5 the first class already holds the largest sets; with
+    # the order-4 classes reversed the cyclic class (largest sets of size
+    # 6) comes first, and the Klein square's (7) must replace its images.
+    # No isotopic image of a cyclic set precedes the witness as a triple
+    # tuple, so the final choice is watched too: only the Klein square's
+    # one image of size 7 may reach it
+    rec = lcs_exhaustive(4)
+    classes = criticality._isotopy_classes
+    monkeypatch.setattr(criticality, "_isotopy_classes", lambda squares: classes(squares)[::-1])
+    reversed_classes = criticality._isotopy_classes(_reduced_squares(4))
+    assert [(len(members), _intercalates(rep)) for rep, members in reversed_classes] == [(3, 4), (1, 12)]
+    ranked = []
+
+    def watched_min(*args, **kwargs):
+        if "key" in kwargs:  # the witness choice; mmcs's bound calls min(a, b)
+            ranked.extend(args[0])
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(criticality, "min", watched_min, raising=False)
+    assert lcs_exhaustive(4) == rec
+    assert [(len(witness), square) for witness, square in ranked] == [(7, rec.witness_square)]
 
 
 def test_klein_square_is_not_isotopic_to_the_cyclic_square():
@@ -441,7 +479,7 @@ def test_critical_sets_match_subset_scan_oracle(n):
     # every square of order n, listed by the naive enumerator
     for rows in naive_completions(PartialLatinSquare.empty(n)):
         square = LatinSquare(rows)
-        found = list(_critical_sets(square, squares))
+        found = _critical_triples(square, squares)
         assert len(found) == len(set(found))
         assert set(found) == naive_critical_sets(square)
 
@@ -450,7 +488,7 @@ def test_critical_sets_order_4_verify_and_spectra():
     squares = _all_squares(_reduced_squares(4))
     spectra = []
     for square in iter_reduced(4):
-        found = list(_critical_sets(square, squares))
+        found = _critical_triples(square, squares)
         for c in found:
             rep = verify_critical(PartialLatinSquare.from_triples(4, c))
             assert rep.critical and rep.completion == square
@@ -460,7 +498,7 @@ def test_critical_sets_order_4_verify_and_spectra():
         rng = random.Random(len(spectra))
         for _ in range(3):
             perms = [rng.sample(range(4), 4) for _ in range(3)]
-            moved = set(_critical_sets(relabel(square, *perms), squares))
+            moved = set(_critical_triples(relabel(square, *perms), squares))
             assert Counter(len(c) for c in moved) == sizes
             assert moved == {
                 relabel(PartialLatinSquare.from_triples(4, c), *perms).triples() for c in found
@@ -498,10 +536,37 @@ def test_mmcs_search_effort_is_frozen():
     squares = _all_squares(_reduced_squares(4))
     nodes, floor = [], 0
     for rep, _ in _isotopy_classes(_reduced_squares(4)):
-        found = []
-        nodes.append(_mmcs_nodes(lambda: found.extend(_largest_critical_sets(rep, squares, floor))))
-        floor = max([floor, *map(len, found)])
+        trades, found = _minimal_trades(rep, squares), []
+        nodes.append(_mmcs_nodes(lambda: found.extend(_largest_critical_sets(trades, 16, floor))))
+        floor = max([floor, *map(int.bit_count, found)])
     assert (nodes, floor) == (ORDER_4_MMCS_NODES, 7)
+
+
+def _random_hypergraphs(count: int, seed: int):
+    """Seeded random hypergraphs on 0..9 vertices as (edges, vertices),
+    edges as vertex bitmasks: each draw as made, with nested and repeated
+    edges, then the antichain of its inclusion-minimal edges, shuffled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n2 = rng.randint(0, 9)
+        edge_count = rng.randint(0, 8) if n2 else 0
+        edges = [sum(1 << v for v in rng.sample(range(n2), rng.randint(1, n2))) for _ in range(edge_count)]
+        yield edges, n2
+        minimal = list({e for e in edges if not any(f & e == f != e for f in edges)})
+        yield rng.sample(minimal, len(minimal)), n2
+
+
+def test_transversal_search_matches_the_brute_force_oracle():
+    # the search reads only trade bitmasks, so any hypergraph will do
+    for edges, n2 in _random_hypergraphs(1000, seed=7):
+        every = list(_critical_sets(edges, n2))
+        assert len(every) == len(set(every))
+        assert set(every) == naive_minimal_transversals(edges, n2)
+        top = max(map(int.bit_count, every))
+        for floor in range(top + 2):
+            assert list(_critical_sets(edges, n2, [floor])) == [c for c in every if c.bit_count() >= floor]
+            largest = [c for c in every if c.bit_count() == top] if floor <= top else []
+            assert _largest_critical_sets(edges, n2, floor) == largest
 
 
 def _per_cell_trades(l: LatinSquare, squares: list) -> list:
@@ -536,11 +601,11 @@ def test_bit_parallel_trades_match_the_per_cell_formula(n, count):
 def test_size_bound_keeps_every_set_it_may_keep(n):
     squares = _all_squares(_reduced_squares(n))
     for square in iter_reduced(n):
-        every = list(_critical_sets(square, squares))
+        every = _critical_triples(square, squares)
         top = max(map(len, every))
         for floor in range(top + 2):
             # a fixed floor lists exactly the sets at least that large ...
-            assert list(_critical_sets(square, squares, [floor])) == [c for c in every if len(c) >= floor]
+            assert _critical_triples(square, squares, [floor]) == [c for c in every if len(c) >= floor]
             # ... and a rising one exactly the largest, or none above them
             largest = [c for c in every if len(c) == top] if floor <= top else []
-            assert _largest_critical_sets(square, squares, floor) == largest
+            assert _largest_triples(square, squares, floor) == largest
