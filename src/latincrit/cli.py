@@ -22,10 +22,10 @@ from .constructions import (
     nelder_triangle,
     random_latin_square,
 )
-from .core import GridError, parse_partial, serialize
-from .criticality import KNOWN_LCS, lcs_exhaustive, minimize_uc, verify_critical
+from .core import GridError, LatinSquare, parse_partial, serialize
+from .criticality import KNOWN_LCS, _removal_checks, lcs_exhaustive, minimize_uc
 from .enumeration import count_all, iter_reduced
-from .solver import NotUniqueError, count_completions, is_uniquely_completable
+from .solver import NotUniqueError, _count, is_uniquely_completable
 
 DEFAULT_COUNT_CAP = 1_000_000
 
@@ -38,28 +38,35 @@ def _load(path: str):
 def _cmd_complete(args) -> int:
     p = _load(args.file)
     cap = None if args.count_cap == 0 else args.count_cap
-    report = count_completions(p, cap)
-    suffix = " (capped)" if report.capped else ""
-    print(f"completions: {report.count}{suffix}")
-    if report.count == 1 and not report.capped:
+    count, capped, flats = _count(p, cap=cap)  # witnesses are filled only as they are read
+    print(f"completions: {count}{' (capped)' if capped else ''}")
+    if count == 1 and not capped:
         print("completion:")
-        print(serialize(report.witnesses[0]), end="")
+        print(serialize(LatinSquare.from_cells(p.order, next(flats))), end="")
     elif args.witnesses:
-        for w in report.witnesses:
+        for flat in flats:
             print("witness:")
-            print(serialize(w), end="")
+            print(serialize(LatinSquare.from_cells(p.order, flat)), end="")
     return 0
+
+
+def _criticality(p) -> tuple[bool, list]:
+    """Whether `p` is uniquely completable, and its removable entries,
+    read from the flat grids of the removal checks."""
+    completion, _, others = _removal_checks(p)
+    return completion is not None, [t for t, other in zip(p.triples(), others) if other is None]
 
 
 def _cmd_verify(args) -> int:
     p = _load(args.file)
-    rep = verify_critical(p)
-    print(f"uniquely completable: {'yes' if rep.uniquely_completable else 'no'}")
-    print(f"minimal: {'yes' if rep.minimal else 'no'}")
-    print(f"critical: {'yes' if rep.critical else 'no'} (size {p.size})")
-    if rep.violations:
-        print("removable:", " ".join(f"({t.row},{t.col};{t.sym})" for t in rep.violations))
-    return 0 if rep.critical else 1
+    unique, removable = _criticality(p)
+    critical = unique and not removable
+    print(f"uniquely completable: {'yes' if unique else 'no'}")
+    print(f"minimal: {'yes' if critical else 'no'}")  # a set with no unique completion is not minimal
+    print(f"critical: {'yes' if critical else 'no'} (size {p.size})")
+    if removable:
+        print("removable:", " ".join(f"({t.row},{t.col};{t.sym})" for t in removable))
+    return 0 if critical else 1
 
 
 def _cmd_minimize(args) -> int:
@@ -129,7 +136,8 @@ def _cmd_construct(args) -> int:
         ok = is_uniquely_completable(obj)
         label = "uniquely completable"
     else:
-        ok = verify_critical(obj).critical
+        unique, removable = _criticality(obj)
+        ok = unique and not removable
         label = "critical"
     print(f"verified {label}: {'yes' if ok else 'NO'}", file=sys.stderr)
     return 0 if ok else 1

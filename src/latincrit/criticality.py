@@ -87,7 +87,8 @@ class LcsRecord(NamedTuple):
 
 def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
     """Full criticality check: unique completability plus, per entry,
-    whether its removal keeps the set uniquely completable.
+    whether its removal keeps the set uniquely completable.  The records
+    wrap the flat grids of `_removal_checks`, below.
 
     After the cap-2 check of C, each removal check searches the closure
     of C minus its entry under forced moves, with nothing dirty.  The
@@ -103,34 +104,41 @@ def verify_critical(c: PartialLatinSquare) -> CriticalityReport:
     search's own root propagation of C minus its entry would reach: the
     same tree, count and witnesses."""
     n = c.order
+    completion, second, others = _removal_checks(c)
+
+    def square(cells):
+        return None if cells is None else LatinSquare.from_cells(n, cells)
+
+    # triples() and the removal checks both follow the filled cells in row-major order
+    checks = tuple(RemovalCheck(t, other is None, square(other)) for t, other in zip(c.triples(), others))
+    return CriticalityReport(
+        uniquely_completable=completion is not None,
+        minimal=completion is not None and None not in others,
+        completion=square(completion),
+        second_completion=square(second),
+        removal_checks=checks,
+    )
+
+
+def _removal_checks(c: PartialLatinSquare) -> tuple[tuple | None, tuple | None, list]:
+    """The flat grids behind `verify_critical`: C's one completion (None
+    unless C is uniquely completable), a second completion of C when
+    there is one, and for each filled cell, in row-major order, a
+    completion of C minus that entry other than C's own (None when the
+    entry is redundant; no cells when C is not uniquely completable)."""
+    n = c.order
     cells = c.cells()
     count, flats = _count_flat(n, _state(n, cells), 2)
+    completion, second = next(flats, None), next(flats, None)
     if count != 1:
-        return CriticalityReport(
-            uniquely_completable=False,
-            minimal=False,
-            completion=None,
-            second_completion=LatinSquare.from_cells(n, flats[1]) if len(flats) > 1 else None,
-            removal_checks=(),
-        )
-    completion_cells = flats[0]
-    checks = []
-    # triples() and the closures both follow the filled cells in row-major order
-    for t, state in zip(c.triples(), _removal_closures(n, cells)):
-        count, flats = _count_flat(n, state, 2, (0, 0, 0))  # a closed state: nothing dirty
-        if count == 1:
-            checks.append(RemovalCheck(t, True, None))
-        else:
-            # count == 2: removal cannot empty the completion set
-            other = next(w for w in flats if w != completion_cells)
-            checks.append(RemovalCheck(t, False, LatinSquare.from_cells(n, other)))
-    return CriticalityReport(
-        uniquely_completable=True,
-        minimal=not any(ch.still_unique for ch in checks),
-        completion=LatinSquare.from_cells(n, completion_cells),
-        second_completion=None,
-        removal_checks=tuple(checks),
-    )
+        return None, second, []
+    others = []
+    closures = _removal_closures(n, cells)
+    for _ in range(c.size):  # one closure per filled cell; the generator is not resumed past the last
+        count, flats = _count_flat(n, next(closures), 2, (0, 0, 0))  # a closed state: nothing dirty
+        # count == 2 unless the entry is redundant: removal cannot empty the completion set
+        others.append(None if count == 1 else next(w for w in flats if w != completion))
+    return completion, None, others
 
 
 def minimize_uc(

@@ -50,10 +50,14 @@ on a grid with many holes runs on the conjugate and in the row order its
 layer bound favours, and take as witnesses the first two completions of
 the row-major filler on the closed grid, which are the two smallest in
 text order.  Capped counts and larger orders search, so the witnesses of
-a capped count still depend on the search order."""
+a capped count still depend on the search order.  `_count_flat` and
+`_count` return the witnesses as an iterator of flat grids, filled only
+as they are read, so a caller that reads none fills none; the public
+functions build a `LatinSquare` only for a square they return."""
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .core import _PAIRS, _ROW_AXES, LatinSquare, PartialLatinSquare, _set_bits, _state
@@ -359,21 +363,24 @@ def _search_count(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, lis
     return count, [w for _, w in best]
 
 
-def _count_flat(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, list]:
+def _count_flat(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, Iterator[tuple]]:
     """Core counting from a solver state, which it consumes, its root
-    propagated from the `dirty` masks; returns what `_search_count`
-    returns.  Uncapped counts of order <=
-    ROW_COUNT_MAX_ORDER take the count from the row dynamic program and
-    the witnesses from the row-major filler: it tries symbols in ascending
-    order, so it yields completions in row-major lexicographic order,
-    which is text order for n <= 9."""
+    propagated from the `dirty` masks.  Returns the count of
+    `_search_count` and its witness grids as an iterator.  Uncapped counts
+    of order <= ROW_COUNT_MAX_ORDER take the count from the row dynamic
+    program and the witnesses from the row-major filler, which fills them
+    only as they are read, up to min(count, 2): it tries symbols in
+    ascending order, so it yields completions in row-major lexicographic
+    order, which is text order for n <= 9.  The filler works in the
+    consumed state, so nothing else may edit it while witnesses are
+    read."""
     if cap is not None or n > ROW_COUNT_MAX_ORDER:
-        return _search_count(n, state, cap, dirty)
+        count, flats = _search_count(n, state, cap, dirty)
+        return count, iter(flats)
     if not _propagate_flat(n, *state, *dirty):
-        return 0, []
+        return 0, iter(())
     count = _count_by_rows(n, state[1:])
-    fills = _row_major_fills(n, state)
-    return count, [tuple(next(fills)) for _ in range(min(count, 2))]
+    return count, map(tuple, islice(_row_major_fills(n, state), min(count, 2)))
 
 
 def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:
@@ -387,25 +394,32 @@ def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:
     return PartialLatinSquare.from_cells(n, state[0]), (FIXED_POINT if ok else CONTRADICTION)
 
 
-def count_completions(p: PartialLatinSquare, cap: int | None = None) -> CompletionReport:
-    """Number of Latin squares extending `p`, exact if below `cap`
-    (None = unbounded), else `cap` with capped=True."""
+def _count(p: PartialLatinSquare, cap: int | None) -> tuple[int, bool, Iterator[tuple]]:
+    """The fields of `count_completions`' report, with the witnesses as
+    the flat grids of `_count_flat`."""
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     n = p.order
     count, flats = _count_flat(n, _state(n, p.cells()), cap)
-    witnesses = tuple(LatinSquare.from_cells(n, flat) for flat in flats)
-    return CompletionReport(count=count, capped=cap is not None and count >= cap, witnesses=witnesses)
+    return count, cap is not None and count >= cap, flats
+
+
+def count_completions(p: PartialLatinSquare, cap: int | None = None) -> CompletionReport:
+    """Number of Latin squares extending `p`, exact if below `cap`
+    (None = unbounded), else `cap` with capped=True."""
+    count, capped, flats = _count(p, cap)
+    witnesses = tuple(LatinSquare.from_cells(p.order, flat) for flat in flats)
+    return CompletionReport(count=count, capped=capped, witnesses=witnesses)
 
 
 def is_uniquely_completable(p: PartialLatinSquare) -> bool:
-    return count_completions(p, cap=2).count == 1
+    return _count(p, 2)[0] == 1
 
 
 def unique_completion(p: PartialLatinSquare) -> LatinSquare:
     """The single completion of `p`; raises NotUniqueError(0 or 2) when
     the completion count is not exactly one."""
-    report = count_completions(p, cap=2)
-    if report.count != 1:
-        raise NotUniqueError(report.count)
-    return report.witnesses[0]
+    count, _, flats = _count(p, 2)
+    if count != 1:
+        raise NotUniqueError(count)
+    return LatinSquare.from_cells(p.order, next(flats))

@@ -9,7 +9,7 @@ import latincrit
 from latincrit import bounds as bounds_mod
 from latincrit import cli
 from latincrit.cli import main
-from latincrit.core import parse_partial, serialize
+from latincrit.core import LatinSquare, PartialLatinSquare, parse_partial, serialize
 from latincrit.criticality import KNOWN_LCS, verify_critical
 from latincrit.constructions import back_circulant, classic_5x5, nelder_triangle
 
@@ -39,6 +39,52 @@ def test_verify_non_critical_exits_1(tmp_path, capsys):
     assert code == 1
     assert "critical: no" in out
     assert "removable:" in out
+
+
+@pytest.mark.parametrize("rows, size", [
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),  # twelve completions
+    ([[1, 2, 0], [2, 1, 0], [0, 0, 0]], 4),  # none: test_solver's CONTRADICTION_3X3
+])
+def test_verify_not_uniquely_completable_exits_1(tmp_path, capsys, rows, size):
+    path = write_grid(tmp_path, "grid.lsq", PartialLatinSquare(rows))
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 1
+    assert out == f"uniquely completable: no\nminimal: no\ncritical: no (size {size})\n"
+
+
+def _counting_squares(monkeypatch) -> list:
+    """Counts the `LatinSquare.from_cells` calls made from now on."""
+    built = []
+    from_cells = LatinSquare.from_cells.__func__
+
+    def counted(cls, order, cells):
+        built.append(order)
+        return from_cells(cls, order, cells)
+
+    monkeypatch.setattr(LatinSquare, "from_cells", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("grid, argv, squares", [
+    (nelder_triangle(8), ["verify"], 0),
+    (PartialLatinSquare.empty(3), ["complete", "--count-cap", "0"], 0),
+    (PartialLatinSquare.empty(3), ["complete", "--count-cap", "0", "--witnesses"], 2),
+    (PartialLatinSquare.empty(3), ["complete", "--count-cap", "5", "--witnesses"], 2),
+    (classic_5x5(), ["complete"], 1),
+])
+def test_commands_build_only_the_squares_they_print(tmp_path, capsys, monkeypatch, grid, argv, squares):
+    path = write_grid(tmp_path, "grid.lsq", grid)
+    built = _counting_squares(monkeypatch)
+    code, out, _ = run(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    assert len(built) == squares
+    assert out.count("completion:\n") + out.count("witness:\n") == squares
+
+
+def test_complete_rejects_a_negative_cap(tmp_path, capsys):
+    path = write_grid(tmp_path, "empty3.lsq", PartialLatinSquare.empty(3))
+    code, out, err = run(capsys, "complete", path, "--count-cap", "-1")
+    assert (code, out, err) == (2, "", "error: cap must be positive, got -1\n")
 
 
 def test_complete_prints_unique_completion(tmp_path, capsys):
