@@ -22,9 +22,9 @@ from .constructions import (
     nelder_triangle,
     random_latin_square,
 )
-from .core import GridError, LatinSquare, parse_partial, serialize
+from .core import GridError, _serialize_cells, parse_partial, serialize
 from .criticality import KNOWN_LCS, _removal_checks, lcs_exhaustive, minimize_uc
-from .enumeration import count_all, iter_reduced
+from .enumeration import _from_reduced, _reduced_fills, count_all
 from .solver import NotUniqueError, _count, is_uniquely_completable
 
 DEFAULT_COUNT_CAP = 1_000_000
@@ -42,11 +42,11 @@ def _cmd_complete(args) -> int:
     print(f"completions: {count}{' (capped)' if capped else ''}")
     if count == 1 and not capped:
         print("completion:")
-        print(serialize(LatinSquare.from_cells(p.order, next(flats))), end="")
+        print(_serialize_cells(p.order, next(flats)), end="")
     elif args.witnesses:
         for flat in flats:
             print("witness:")
-            print(serialize(LatinSquare.from_cells(p.order, flat)), end="")
+            print(_serialize_cells(p.order, flat), end="")
     return 0
 
 
@@ -144,15 +144,17 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    squares = iter_reduced(args.n) if args.list else ()  # refuses a large order before counting
-    result = count_all(args.n)
-    for k, square in enumerate(squares):
-        if k:
-            print()
-        print(serialize(square), end="")
-    out = sys.stderr if args.list else sys.stdout  # stdout holds only the listed grids
-    print(f"R({args.n}) = {result.reduced_count}", file=out)
-    print(f"L({args.n}) = {result.total_count}", file=out)
+    n = args.n
+    if args.list:  # R(n) is the number of grids listed; stdout holds only the grids
+        listed = 0
+        for cells in _reduced_fills(n):  # refuses a large order before any output
+            print(("\n" if listed else "") + _serialize_cells(n, cells), end="")
+            listed += 1
+        result, out = _from_reduced(n, listed), sys.stderr
+    else:
+        result, out = count_all(n), sys.stdout
+    print(f"R({n}) = {result.reduced_count}", file=out)
+    print(f"L({n}) = {result.total_count}", file=out)
     return 0
 
 

@@ -12,17 +12,20 @@ checks all the rest.
 Coordinates are 1-indexed in all external formats and in Triple values;
 the internal grid tuples are 0-indexed with 0 marking an empty cell.
 `cells()` and `from_cells()` are the one codec between a grid and its
-flat row-major list, cell (r, c) at index r * n + c.  All squares are
-immutable after construction and safe to share.  `_state` is the one
-builder of the solver state, that list and its free-value tables, which
-every exact check reads and the solver edits in place.  `_set_bits(n)` is
-the one walk over the set bits of a mask of n bits: `bits[mask]`, an
-ascending tuple of indices, which the solver, the row-major filler and the
-row program read in place of bit tricks looped in Python.
+flat row-major list, cell (r, c) at index r * n + c, and
+`_serialize_cells` is the one text writer, which writes that list.  All
+squares are immutable after construction and safe to share.  `_state` is
+the one builder of the solver state, that list and its free-value
+tables, which every exact check reads and the solver edits in place.
+`_set_bits(n)` is the one walk over the set bits of a mask of n bits:
+`bits[mask]`, an ascending tuple of indices, which the solver, the
+row-major filler and the row program read in place of bit tricks looped
+in Python.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterable, NamedTuple, Sequence
 
@@ -215,10 +218,22 @@ def parse_partial(text: str) -> PartialLatinSquare:
 def serialize(p: PartialLatinSquare) -> str:
     """Canonical grid text: single spaces, "." for empty, trailing newline.
     Round-trips byte-identically through parse_partial."""
-    lines = [str(p.order)]
-    for row in p.grid:
-        lines.append(" ".join("." if v == 0 else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _serialize_cells(p.order, p.cells())
+
+
+@functools.cache
+def _text_form(n: int) -> tuple:
+    """The %-format of an order-n grid's text, one "%s" per cell, and the
+    lookup from a symbol (0 = empty) to its token."""
+    return f"{n}\n" + ("%s " * (n - 1) + "%s\n") * n, (".", *map(str, range(1, n + 1))).__getitem__
+
+
+def _serialize_cells(n: int, cells: Sequence[int]) -> str:
+    """The canonical grid text of the flat row-major list `cells` (0 =
+    empty), unchecked: the one text writer, which `serialize` calls and
+    the command line uses on the solver's and the filler's flat grids."""
+    form, token = _text_form(n)
+    return form % tuple(map(token, cells))
 
 
 def relabel(

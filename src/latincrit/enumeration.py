@@ -3,20 +3,23 @@ reduced squares.
 
 A reduced square has first row and first column in natural order; the
 total count satisfies L(n) = n! * (n-1)! * R(n), so reduced squares are
-enough and a factor n!*(n-1)! fewer.  `iter_reduced` lists them with a
-row-major filler.  `count_all` does not list them: it gets R(n) from a
-row-by-row dynamic program over column states, which merges the partial
-squares whose columns hold the same symbols up to a swap of columns free
-in exactly the same rows still to fill.  Swapping two such columns' cells
-in every later row matches the completions of the two states one to one.
-A later given counts only through its column's symbols, which hold it,
-and its row's, which the swap leaves alone.  The last row is forced: after
-n - 1 rows each free column misses one symbol, the one the row needs
-there.  And relabelled, the bottom rows of a reduced square are a reduced
-rectangle up to a permutation of columns, so `count_all` joins the counts
-of two middle layers.  `solver` counts uncapped completions of small
-orders with the same program.  Counts are exact Python integers (L(6) =
-812,851,200 exceeds 32 bits).
+enough and a factor n!*(n-1)! fewer.  `_reduced_fills` lists them as
+flat grids with a row-major filler, and `iter_reduced` wraps it.
+`latincrit count --list` takes R(n) from the number of grids it listed,
+so the row program runs only without `--list`.  `count_all` does not
+list the squares: it gets R(n) from a row-by-row dynamic program over
+column states, which merges the partial squares whose columns hold the
+same symbols up to a swap of columns free in exactly the same rows still
+to fill.  Swapping two such columns' cells in every later row matches
+the completions of the two states one to one.  A later given counts only
+through its column's symbols, which hold it, and its row's, which the
+swap leaves alone.  The last row is forced: after n - 1 rows each free
+column misses one symbol, the one the row needs there.  And relabelled,
+the bottom rows of a reduced square are a reduced rectangle up to a
+permutation of columns, so `count_all` joins the counts of two middle
+layers.  `solver` counts uncapped completions of small orders with the
+same program.  Counts are exact Python integers (L(6) = 812,851,200
+exceeds 32 bits).
 
 The program reads a grid only through the six free-value tables of
 `core._state`, and it and the filler walk the set bits of a mask with
@@ -288,13 +291,28 @@ def _reduced_border(n: int) -> list:
     return cells
 
 
+def _reduced_fills(n: int) -> Iterator[list]:
+    """The reduced squares of order n as flat row-major grids, each
+    exactly once, in lexicographic row-major order: the row-major filler
+    over the reduced border, which yields one list that it refills, so
+    callers copy what they keep.  An order outside 1..LIST_MAX_ORDER
+    raises here, not at the first grid."""
+    if not 1 <= n <= LIST_MAX_ORDER:
+        raise ValueError(f"listing reduced squares supports orders 1..{LIST_MAX_ORDER}, got {n}")
+    return _row_major_fills(n, _state(n, _reduced_border(n)))
+
+
 def iter_reduced(n: int) -> Iterator[LatinSquare]:
     """All Latin squares of order n with first row and column 1..n, each
     exactly once, in lexicographic row-major order.  An order outside
     1..LIST_MAX_ORDER raises here, not at the first square."""
-    if not 1 <= n <= LIST_MAX_ORDER:
-        raise ValueError(f"listing reduced squares supports orders 1..{LIST_MAX_ORDER}, got {n}")
-    return (LatinSquare.from_cells(n, cells) for cells in _row_major_fills(n, _state(n, _reduced_border(n))))
+    return (LatinSquare.from_cells(n, cells) for cells in _reduced_fills(n))
+
+
+def _from_reduced(n: int, reduced: int) -> EnumerationResult:
+    """R(n) = `reduced` with L(n) = n! * (n-1)! * R(n)."""
+    return EnumerationResult(order=n, reduced_count=reduced,
+                             total_count=math.factorial(n) * math.factorial(n - 1) * reduced)
 
 
 def count_all(n: int) -> EnumerationResult:
@@ -322,5 +340,4 @@ def count_all(n: int) -> EnumerationResult:
             rest = sorted(map(flip.__getitem__, state.to_bytes(n, "little")[1:]))
             stab = math.prod(map(math.factorial, Counter(rest).values())) if len(set(rest)) < n - 1 else 1
             reduced += ways * stab * layers[n - k].get(int.from_bytes(bytes([full, *rest]), "little"), 0)
-    total = math.factorial(n) * math.factorial(n - 1) * reduced
-    return EnumerationResult(order=n, reduced_count=reduced, total_count=total)
+    return _from_reduced(n, reduced)

@@ -49,8 +49,9 @@ tables with the row dynamic program `enumeration._count_by_rows`, which
 on a grid with many holes runs on the conjugate and in the row order its
 layer bound favours, and take as witnesses the first two completions of
 the row-major filler on the closed grid, which are the two smallest in
-text order.  Capped counts and larger orders search, so the witnesses of
-a capped count still depend on the search order.  `_count_flat` and
+text order, or a unique completion from a cap-1 search of the closed
+grid.  Capped counts and larger orders search, so the witnesses of a
+capped count still depend on the search order.  `_count_flat` and
 `_count` return the witnesses as an iterator of flat grids, filled only
 as they are read, so a caller that reads none fills none; the public
 functions build a `LatinSquare` only for a square they return."""
@@ -79,7 +80,8 @@ _ROOT_DIRTY = (-1, -1, 0)
 # merged and the layout chooser, 100 grids (52 critical sets from
 # minimize_uc, 33 with 24-44 holes, 15 with no completion) took it
 # 0.45-0.59 s against 2.4-3.2 s, and it lost at most 31-53 ms on a grid, a
-# critical set whose witness fill takes most of that.  Without the chooser
+# critical set whose row-major witness fill took most of that (a unique
+# completion now comes from a cap-1 search instead).  Without the chooser
 # the program took 0.38-0.39 s there: one grid with 42 holes went from
 # 73 to 198 ms.  At order 10 it lost up to 1.4 s on a critical set.
 
@@ -368,19 +370,33 @@ def _count_flat(n: int, state: list, cap, dirty=_ROOT_DIRTY) -> tuple[int, Itera
     propagated from the `dirty` masks.  Returns the count of
     `_search_count` and its witness grids as an iterator.  Uncapped counts
     of order <= ROW_COUNT_MAX_ORDER take the count from the row dynamic
-    program and the witnesses from the row-major filler, which fills them
-    only as they are read, up to min(count, 2): it tries symbols in
-    ascending order, so it yields completions in row-major lexicographic
-    order, which is text order for n <= 9.  The filler works in the
-    consumed state, so nothing else may edit it while witnesses are
-    read."""
+    program and the witnesses from `_closed_witnesses`, which fills them
+    only as they are read, up to min(count, 2), in the consumed state, so
+    nothing else may edit it while witnesses are read."""
     if cap is not None or n > ROW_COUNT_MAX_ORDER:
         count, flats = _search_count(n, state, cap, dirty)
         return count, iter(flats)
     if not _propagate_flat(n, *state, *dirty):
         return 0, iter(())
     count = _count_by_rows(n, state[1:])
-    return count, map(tuple, islice(_row_major_fills(n, state), min(count, 2)))
+    return count, _closed_witnesses(n, state, count)
+
+
+def _closed_witnesses(n: int, state: list, count: int) -> Iterator[tuple]:
+    """The first min(count, 2) completions in text order of the closed
+    state `state`, which has `count` of them and which this consumes,
+    filled only as they are read.  Two or more come from the row-major
+    filler: it tries symbols in ascending order, so it yields completions
+    in row-major lexicographic order, which is text order for n <= 9.  A
+    unique completion comes from a cap-1 search with nothing dirty, since
+    a row-major fill can backtrack far longer: on the critical set
+    `minimize_uc(random_latin_square(8, 15))`, whose count takes 0.6 ms,
+    the fill took 35 ms and the search takes 0.9 ms (best of 5; 2-vCPU
+    Xeon, Python 3.11)."""
+    if count == 1:
+        yield from _search_count(n, state, 1, (0, 0, 0))[1]
+    else:
+        yield from map(tuple, islice(_row_major_fills(n, state), min(count, 2)))
 
 
 def propagate(p: PartialLatinSquare) -> tuple[PartialLatinSquare, str]:

@@ -7,11 +7,14 @@ import pytest
 
 import latincrit
 from latincrit import bounds as bounds_mod
-from latincrit import cli
+from latincrit import cli, solver
 from latincrit.cli import main
 from latincrit.core import LatinSquare, PartialLatinSquare, parse_partial, serialize
-from latincrit.criticality import KNOWN_LCS, verify_critical
-from latincrit.constructions import back_circulant, classic_5x5, nelder_triangle
+from latincrit.criticality import KNOWN_LCS, minimize_uc, verify_critical
+from latincrit.constructions import back_circulant, classic_5x5, nelder_triangle, random_latin_square
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -65,20 +68,31 @@ def _counting_squares(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("grid, argv, squares", [
+@pytest.mark.parametrize("grid, argv, printed", [
     (nelder_triangle(8), ["verify"], 0),
     (PartialLatinSquare.empty(3), ["complete", "--count-cap", "0"], 0),
     (PartialLatinSquare.empty(3), ["complete", "--count-cap", "0", "--witnesses"], 2),
     (PartialLatinSquare.empty(3), ["complete", "--count-cap", "5", "--witnesses"], 2),
     (classic_5x5(), ["complete"], 1),
 ])
-def test_commands_build_only_the_squares_they_print(tmp_path, capsys, monkeypatch, grid, argv, squares):
+def test_commands_build_only_the_squares_they_print(tmp_path, capsys, monkeypatch, grid, argv, printed):
+    # the printed grids are written from the solver's flat grids: no square is built
     path = write_grid(tmp_path, "grid.lsq", grid)
     built = _counting_squares(monkeypatch)
     code, out, _ = run(capsys, argv[0], path, *argv[1:])
     assert code == 0
-    assert len(built) == squares
-    assert out.count("completion:\n") + out.count("witness:\n") == squares
+    assert built == []
+    assert out.count("completion:\n") + out.count("witness:\n") == printed
+
+
+def test_unique_uncapped_completion_comes_from_the_search(tmp_path, capsys, monkeypatch):
+    # a critical set of order 8 whose first row-major fill backtracks far
+    # longer than its count takes; its one completion is the square itself
+    square = random_latin_square(8, 15)
+    path = write_grid(tmp_path, "uc8.lsq", minimize_uc(square))
+    monkeypatch.setattr(solver, "_row_major_fills", lambda *a: pytest.fail("filled a unique completion"))
+    expected = "completions: 1\ncompletion:\n" + serialize(square)
+    assert run(capsys, "complete", path, "--count-cap", "0") == (0, expected, "")
 
 
 def test_complete_rejects_a_negative_cap(tmp_path, capsys):
@@ -139,7 +153,7 @@ LCS_STDOUT = {
 
 # Stdout of `latincrit lcs 5` (about 2 s), frozen; CI recomputes it and
 # compares.
-LCS_5_STDOUT = Path(__file__).parent / "data" / "lcs_5.out"
+LCS_5_STDOUT = DATA / "lcs_5.out"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -306,6 +320,28 @@ COUNT_4_LIST_STDOUT = (
 
 def test_count_list_whole_output(capsys):
     assert run(capsys, "count", "4", "--list") == (0, COUNT_4_LIST_STDOUT, "R(4) = 4\nL(4) = 576\n")
+
+
+# `latincrit count N --list` at the other listed orders up to 5, frozen
+# before R(n) was taken from the number of grids listed
+@pytest.mark.parametrize("n, stdout, stderr", [
+    (1, "1\n1\n", "R(1) = 1\nL(1) = 1\n"),
+    (2, "2\n1 2\n2 1\n", "R(2) = 1\nL(2) = 2\n"),
+    (3, "3\n1 2 3\n2 3 1\n3 1 2\n", "R(3) = 1\nL(3) = 12\n"),
+    (5, (DATA / "count_5_list.out").read_text(), "R(5) = 56\nL(5) = 161280\n"),
+])
+def test_count_list_whole_output_at_orders_1_to_5(capsys, n, stdout, stderr):
+    assert run(capsys, "count", str(n), "--list") == (0, stdout, stderr)
+
+
+def test_count_list_counts_what_it_lists(capsys, monkeypatch):
+    # R(5) is the number of grids listed, each written from the filler's
+    # flat grid: no square is built and the row program does not run
+    built = _counting_squares(monkeypatch)
+    monkeypatch.setattr(cli, "count_all", lambda n: pytest.fail(f"counted order {n}"))
+    code, _, err = run(capsys, "count", "5", "--list")
+    assert (code, err) == (0, "R(5) = 56\nL(5) = 161280\n")
+    assert built == []
 
 
 def test_bounds_crossover(capsys):

@@ -16,8 +16,9 @@ Nelder triangle; the search against the row dynamic program of
 layout its chooser picks, against the search at orders up to 8; the row
 program's merging of interchangeable columns against the search and the
 oracle at orders up to 6; conjugation again
-at orders 5 to 8; the flat-cell codec of `core`; and grid text parsing
-on arbitrary input."""
+at orders 5 to 8; the flat-cell codec of `core`, and its text writer
+against the parser at orders up to 12; and grid text parsing on
+arbitrary input."""
 
 import functools
 import random
@@ -35,6 +36,7 @@ from latincrit.core import (
     PartialLatinSquare,
     parse_partial,
     relabel,
+    _serialize_cells,
     _state,
     serialize,
 )
@@ -326,6 +328,17 @@ def test_cells_codec_round_trips_and_validates(p):
             PartialLatinSquare.from_cells(n, first + first + [0] * (n * n - 2 * n))
     with pytest.raises(GridError):
         PartialLatinSquare.from_cells(n, cells + [0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_squares(max_order=12))
+@example(random_latin_square(12, 0))
+def test_text_writer_round_trips_through_the_parser(p):
+    # from order 10 on, symbols have two digits
+    n, cells = p.order, p.cells()
+    text = _serialize_cells(n, cells)
+    assert parse_partial(text) == PartialLatinSquare.from_cells(n, cells)
+    assert serialize(p) == text
 
 
 @settings(max_examples=200, deadline=None)
